@@ -14,33 +14,15 @@ import math
 import time
 
 from anisoflow import (
-    CutoffSpec,
     GaussianIC,
     RunConfig,
-    SimState,
     energy_audit,
     fit_power_law,
-    initial_state,
-    linear_exact,
+    linear_twin_series,
     max_principle_audit,
-    record,
     run_simulation,
     theoretical_exponent,
 )
-
-
-def linear_twin_series(cfg: RunConfig):
-    """Sample the exact multiplier semigroup of the same initial data."""
-    state = initial_state(cfg)
-    cutoff = CutoffSpec(cfg.resolved_mu())
-    gammas = list(cfg.gammas)
-    u0_hat = state.u_hat
-    times = [0.0] + [k * cfg.sample_every for k in range(1, int(cfg.t_end / cfg.sample_every) + 1)]
-    series = []
-    for t in times:
-        snap = SimState(t, linear_exact(u0_hat, state.dissipation, t), state.dissipation, None)
-        series.append(record(snap, cutoff, gammas))
-    return series
 
 
 def report(args) -> None:

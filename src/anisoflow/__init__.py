@@ -46,19 +46,19 @@ from .norms import (
     lp_norm,
     record,
 )
-from .operators import (
-    DissipationSpec,
-    FluxSpec,
-    apply_directional,
-    apply_isotropic,
-    nonlinear_term,
+from .operators import DissipationSpec, FluxSpec
+from .run import (
+    advance_to,
+    initial_state,
+    linear_twin_series,
+    run_simulation,
+    sample_times,
+    synthesize_ic,
 )
-from .run import advance_to, initial_state, run_simulation, sample_times, synthesize_ic
 from .spectral import (
     GridSpec,
     PhysicalField,
     SpectralField,
-    dealias,
     forward_transform,
     inverse_transform,
     make_grid,

@@ -22,19 +22,21 @@ def _parse_alphas(raw: str) -> list[float]:
 
 
 def _parse_space(raw: str) -> tuple[str, int | None]:
+    """`l2` or `hg:<gamma>` -> the (space, gamma) pair of theoretical_exponent."""
     if raw == "l2":
         return "l2", None
     m = re.fullmatch(r"hg:(\d+)", raw)
     if m:
         return "hgamma", int(m.group(1))
-    raise argparse.ArgumentTypeError(f"space must be l2 or hg:<gamma>, got {raw!r}")
+    raise argparse.ArgumentTypeError(f"must be l2 or hg:<gamma>, got {raw!r}")
 
 
 def _parse_window(raw: str) -> tuple[float, float]:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"window must be lo,hi, got {raw!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        lo, hi = (float(p) for p in raw.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be lo,hi, got {raw!r}") from None
+    return lo, hi
 
 
 def _cmd_simulate(args) -> int:
@@ -49,35 +51,26 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_exponent(args) -> int:
-    space, gamma = _parse_space(args.space)
+    space, gamma = args.space
     value = theoretical_exponent(_parse_alphas(args.alphas), space, gamma)
     print(repr(value))
     return 0
 
 
-def _quantity_column(raw: str) -> str:
-    if raw == "l2":
-        return "l2"
-    m = re.fullmatch(r"hg:(\d+)", raw)
-    if m:
-        return f"hg{m.group(1)}"
-    raise argparse.ArgumentTypeError(f"quantity must be l2 or hg:<gamma>, got {raw!r}")
-
-
 def _cmd_analyze(args) -> int:
-    column = _quantity_column(args.quantity)
+    space, gamma = args.quantity
     series = read_timeseries(args.csv)
     theoretical = math.nan
     if args.alphas:
-        space, gamma = _parse_space(args.quantity)
         theoretical = theoretical_exponent(_parse_alphas(args.alphas), space, gamma)
-    if column == "l2":
-        pts = [(s.t, s.l2) for s in series]
+    if gamma is None:
+        column, pts = "l2", [(s.t, s.l2) for s in series]
     else:
-        g = int(column[2:])
-        pts = [(s.t, s.hgamma[g]) for s in series]
-    fit = fit_power_law(pts, _parse_window(args.window), quantity=column,
-                        theoretical=theoretical)
+        column = f"hg{gamma}"
+        if any(gamma not in s.hgamma for s in series):
+            raise ValueError(f"{args.csv} has no {column} column")
+        pts = [(s.t, s.hgamma[gamma]) for s in series]
+    fit = fit_power_law(pts, args.window, quantity=column, theoretical=theoretical)
     print(f"quantity:    {fit.quantity}")
     print(f"window:      [{fit.window[0]:g}, {fit.window[1]:g}]")
     print(f"exponent:    {fit.exponent!r}")
@@ -199,13 +192,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("exponent", help="print the theoretical decay exponent")
     p.add_argument("--alphas", required=True, help="comma-separated, each in (1,2]")
-    p.add_argument("--space", default="l2", help="l2 or hg:<gamma>")
+    p.add_argument("--space", default="l2", type=_parse_space, help="l2 or hg:<gamma>")
     p.set_defaults(func=_cmd_exponent)
 
     p = sub.add_parser("analyze", help="fit a power law to a norm history")
     p.add_argument("csv")
-    p.add_argument("--quantity", default="l2", help="l2 or hg:<gamma>")
-    p.add_argument("--window", required=True, help="lo,hi")
+    p.add_argument("--quantity", default="l2", type=_parse_space, help="l2 or hg:<gamma>")
+    p.add_argument("--window", required=True, type=_parse_window, help="lo,hi")
     p.add_argument("--alphas", default="", help="optional, for the theoretical rate")
     p.set_defaults(func=_cmd_analyze)
 

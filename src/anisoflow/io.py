@@ -56,7 +56,6 @@ def read_timeseries(path: str) -> list[NormSample]:
             samples.append(NormSample(
                 t=t, l1=l1, l2=l2, l4=l4, linf=linf, hgamma=hg,
                 diss_x=diss_x, diss_y=diss_y, ul_l2=ul_l2, uh_l2=uh_l2,
-                ul_hgamma={}, uh_hgamma={},
             ))
     return samples
 

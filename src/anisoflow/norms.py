@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freqsplit import CutoffSpec, split
-from .spectral import PhysicalField, SpectralField, inverse_transform
+from .spectral import PhysicalField, SpectralField, fourier_weight, inverse_transform
 from .timestepper import SimState
 
 _SUPPORTED_P = (1, 2, 4, np.inf)
@@ -36,8 +36,6 @@ class NormSample:
     diss_y: float
     ul_l2: float
     uh_l2: float
-    ul_hgamma: dict[int, float]
-    uh_hgamma: dict[int, float]
     ledger: float | None = None
 
     def __post_init__(self):
@@ -46,7 +44,6 @@ class NormSample:
         if self.ledger is not None:
             scalars.append(self.ledger)
         scalars += list(self.hgamma.values())
-        scalars += list(self.ul_hgamma.values()) + list(self.uh_hgamma.values())
         if not all(np.isfinite(v) and v >= 0.0 for v in scalars):
             raise ValueError("norm sample contains negative or nonfinite entries")
         # interpolation sanity, exact for quadrature sums up to roundoff
@@ -66,32 +63,20 @@ def lp_norm(u: PhysicalField, p) -> float:
 
 
 def _parseval_weighted(v: SpectralField, weight) -> float:
+    """sqrt(sum(weight * |coeffs|^2) / (lx * ly)): the L^2 norm of the
+    multiplier weight^(1/2) applied to v, by Parseval."""
     total = np.sum(weight * np.abs(v.coeffs) ** 2) / v.grid.area()
     return float(np.sqrt(total))
 
 
 def hgamma_seminorm(v: SpectralField, gamma: float) -> float:
     """Homogeneous Sobolev seminorm ||(xi1^2+xi2^2)^(gamma/2) * v|| via Parseval."""
-    if not (gamma >= 0.0 and np.isfinite(gamma)):
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    if gamma == 0.0:
-        return _parseval_weighted(v, 1.0)
-    return _parseval_weighted(v, v.grid.xi_mod() ** (2.0 * gamma))
+    return _parseval_weighted(v, fourier_weight(v.grid, 2.0 * gamma))
 
 
 def directional_seminorm(v: SpectralField, axis: str, beta: float) -> float:
     """Directional seminorm with |xi_axis|^(2*beta) weight."""
-    if not (beta >= 0.0 and np.isfinite(beta)):
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    if axis == "x":
-        w = np.abs(v.grid.xi1[:, None]) ** (2.0 * beta)
-    elif axis == "y":
-        w = np.abs(v.grid.xi2[None, :]) ** (2.0 * beta)
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    if beta == 0.0:
-        return _parseval_weighted(v, 1.0)
-    return _parseval_weighted(v, w)
+    return _parseval_weighted(v, fourier_weight(v.grid, 2.0 * beta, axis))
 
 
 def record(s: SimState, c: CutoffSpec, gammas: list[int]) -> NormSample:
@@ -109,7 +94,5 @@ def record(s: SimState, c: CutoffSpec, gammas: list[int]) -> NormSample:
         diss_y=directional_seminorm(s.u_hat, "y", s.dissipation.alpha2 / 2.0),
         ul_l2=hgamma_seminorm(ul_hat, 0.0),
         uh_l2=hgamma_seminorm(uh_hat, 0.0),
-        ul_hgamma={g: hgamma_seminorm(ul_hat, g) for g in gammas},
-        uh_hgamma={g: hgamma_seminorm(uh_hat, g) for g in gammas},
         ledger=s.ledger,
     )

@@ -1,4 +1,4 @@
-"""Fractional multipliers and the dealiased nonlinear flux divergence."""
+"""Dissipation symbol, flux law, and the dealiased nonlinear flux divergence."""
 
 from __future__ import annotations
 
@@ -8,14 +8,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from .errors import NonFiniteStateError
-from .spectral import (
-    FFT_WORKERS,
-    GridSpec,
-    PhysicalField,
-    SpectralField,
-    band_mask,
-    forward_transform,
-)
+from .spectral import FFT_WORKERS, GridSpec, band_mask, fourier_weight
 
 
 @dataclass(frozen=True)
@@ -34,8 +27,8 @@ class DissipationSpec:
         for name, a in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
             if not (1.0 < a <= 2.0):
                 raise ValueError(f"{name} must lie in (1, 2], got {a}")
-        m = np.abs(self.grid.xi1[:, None]) ** self.alpha1 \
-            + np.abs(self.grid.xi2[None, :]) ** self.alpha2
+        m = fourier_weight(self.grid, self.alpha1, "x") \
+            + fourier_weight(self.grid, self.alpha2, "y")
         m.flags.writeable = False
         object.__setattr__(self, "symbol", m)
 
@@ -63,36 +56,14 @@ class FluxSpec:
             return u ** (self.kappa + 1) / (self.kappa + 1)
 
 
-def _axis_weight(grid: GridSpec, axis: str, beta: float) -> np.ndarray:
-    if axis == "x":
-        return np.abs(grid.xi1[:, None]) ** beta
-    if axis == "y":
-        return np.abs(grid.xi2[None, :]) ** beta
-    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-
-
-def apply_directional(v: SpectralField, axis: str, beta: float) -> SpectralField:
-    """Multiply by |xi_axis|^beta (beta=0 is the identity)."""
-    if not (beta >= 0.0 and np.isfinite(beta)):
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    if beta == 0.0:
-        return v
-    return SpectralField(v.grid, v.coeffs * _axis_weight(v.grid, axis, beta))
-
-
-def apply_isotropic(v: SpectralField, gamma: float) -> SpectralField:
-    """Multiply by |xi|^gamma = (xi1^2 + xi2^2)^(gamma/2)."""
-    if not (gamma >= 0.0 and np.isfinite(gamma)):
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    if gamma == 0.0:
-        return v
-    return SpectralField(v.grid, v.coeffs * v.grid.xi_mod() ** gamma)
-
-
 def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec) -> np.ndarray:
-    """Raw-array core of nonlinear_term; coeffs in quadrature-weighted units.
+    """Spectral divergence of the flux, i*(xi1+xi2) * F[f(u)], dealiased.
 
-    Two transforms per call, which dominates the time-step cost.
+    coeffs are quadrature-weighted.  The state is truncated to the
+    alias-free band before the pointwise power is taken, and the result is
+    truncated again, so the monomial products are exact on the retained
+    modes.  The zero mode vanishes identically: the flux is in divergence
+    form.  Two transforms per call, which dominates the time-step cost.
     """
     keep = band_mask(grid, flux.dealias_denom, strict=True)
     area = grid.cell_area()
@@ -106,16 +77,3 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec) -> np.n
     xi1, xi2 = grid.mesh_xi()
     return np.where(keep, 1j * (xi1 + xi2) * w_hat, 0.0)
 
-
-def nonlinear_term(u: PhysicalField, flux: FluxSpec) -> SpectralField:
-    """Spectral divergence of the flux, i*(xi1+xi2) * F[f(u)], dealiased.
-
-    The state is truncated to the alias-free band before the pointwise
-    power is taken, and the result is truncated again, so the monomial
-    products are exact on the retained modes.  The zero mode vanishes
-    identically: the flux is in divergence form.
-    """
-    if not np.all(np.isfinite(u.values)):
-        raise NonFiniteStateError("nonlinear term evaluated on nonfinite state")
-    v = forward_transform(u)
-    return SpectralField(u.grid, nonlinear_coeffs(u.grid, v.coeffs, flux))

@@ -13,7 +13,7 @@ from .io import checkpoint_write, write_timeseries
 from .norms import NormSample, record
 from .operators import DissipationSpec, FluxSpec
 from .spectral import GridSpec, PhysicalField, forward_transform, inverse_transform
-from .timestepper import SimState, cfl_dt, step_ifrk4
+from .timestepper import SimState, cfl_dt, linear_exact, step_ifrk4
 
 _SNAP_TOL = 1e-9
 
@@ -66,6 +66,19 @@ def sample_times(t_end: float, sample_every: float) -> list[float]:
     if not times or times[-1] < t_end * (1.0 - 1e-12):
         times.append(t_end)
     return times
+
+
+def linear_twin_series(cfg: RunConfig) -> list[NormSample]:
+    """Sample the exact multiplier semigroup of the configured initial data
+    at t = 0 and at every sample time of run_simulation."""
+    state = initial_state(cfg)
+    cutoff = CutoffSpec(cfg.resolved_mu())
+    gammas = list(cfg.gammas)
+    return [
+        record(SimState(t, linear_exact(state.u_hat, state.dissipation, t),
+                        state.dissipation, None), cutoff, gammas)
+        for t in [0.0] + sample_times(cfg.t_end, cfg.sample_every)
+    ]
 
 
 def advance_to(state: SimState, target: float, cfl_safety: float) -> SimState:

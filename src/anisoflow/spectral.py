@@ -1,4 +1,5 @@
-"""Periodic grid, discrete Fourier transform conventions, and dealiasing.
+"""Periodic grid, discrete Fourier transform conventions, Fourier weights
+and the alias-free band masks.
 
 The transform pair approximates the continuous Fourier transform on a
 periodic box: forward coefficients carry the dx*dy quadrature weight, so
@@ -103,13 +104,10 @@ class GridSpec:
         return self.xi1[:, None], self.xi2[None, :]
 
     @cached_property
-    def _xi_mod(self) -> np.ndarray:
-        x1, x2 = self.mesh_xi()
-        return _readonly(np.sqrt(x1 * x1 + x2 * x2))
-
     def xi_mod(self) -> np.ndarray:
         """|xi| over the lattice, shape (nx, ny)."""
-        return self._xi_mod
+        x1, x2 = self.mesh_xi()
+        return _readonly(np.sqrt(x1 * x1 + x2 * x2))
 
     def cell_area(self) -> float:
         return self.dx * self.dy
@@ -208,6 +206,24 @@ def band_mask(grid: GridSpec, denom: int, strict: bool = False) -> np.ndarray:
     return _band_mask_cached(grid, int(denom), bool(strict))
 
 
-def dealias(v: SpectralField) -> SpectralField:
-    """Standard 2/3-rule truncation for quadratic products."""
-    return SpectralField(v.grid, np.where(band_mask(v.grid, 3), v.coeffs, 0.0))
+def fourier_weight(grid: GridSpec, p: float, axis: str | None = None):
+    """|xi_axis|^p for axis 'x' or 'y', or |xi|^p for axis=None.
+
+    The one place lattice wavenumbers are raised to a power: the
+    dissipation symbol, the seminorms and the inequality ratios all take
+    their weights from here.  Directional weights have shape (nx, 1) or
+    (1, ny) and broadcast against the lattice; p = 0 gives the scalar 1.0.
+    """
+    if axis == "x":
+        base = np.abs(grid.xi1[:, None])
+    elif axis == "y":
+        base = np.abs(grid.xi2[None, :])
+    elif axis is None:
+        base = grid.xi_mod
+    else:
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    if not (p >= 0.0 and np.isfinite(p)):
+        raise ValueError(f"weight exponent must be finite and >= 0, got {p}")
+    if p == 0.0:
+        return 1.0
+    return base ** p

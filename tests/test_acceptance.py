@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 from anisoflow import (
-    CutoffSpec,
     DissipationSpec,
     FieldCorpusSpec,
     FluxSpec,
@@ -42,11 +41,10 @@ from anisoflow import (
     generate_corpus,
     initial_state,
     linear_exact,
+    linear_twin_series,
     make_grid,
     max_principle_audit,
-    record,
     run_simulation,
-    sample_times,
     step_ifrk4,
     theoretical_exponent,
 )
@@ -84,16 +82,7 @@ def run1520():
 
 @pytest.fixture(scope="session")
 def linear22_series():
-    cfg = production_config(2.0, 2.0)
-    state = initial_state(cfg)
-    cutoff = CutoffSpec(cfg.resolved_mu())
-    series = []
-    for t in [0.0] + sample_times(cfg.t_end, cfg.sample_every):
-        snap = SimState(
-            t, linear_exact(state.u_hat, state.dissipation, t), state.dissipation, None
-        )
-        series.append(record(snap, cutoff, list(cfg.gammas)))
-    return series
+    return linear_twin_series(production_config(2.0, 2.0))
 
 
 def fit(series, quantity, theoretical=np.nan):

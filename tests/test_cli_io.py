@@ -185,14 +185,6 @@ class TestRunSimulation:
         # samples up to the failure time were written out
         assert [s.t for s in flushed] == [0.0, 0.25, 0.5]
 
-    def test_recorded_split_seminorm_maps(self, tmp_path):
-        cfg = tiny_config(tmp_path, nonlinearity_enabled=True, t_end=0.5)
-        series, _ = run_simulation(cfg)
-        for s in series:
-            assert set(s.ul_hgamma) == {1, 2} and set(s.uh_hgamma) == {1, 2}
-            for g in (1, 2):
-                assert s.ul_hgamma[g] <= s.hgamma[g] * (1 + 1e-12)
-
 
 class TestTimeseriesIO:
     def test_empty_series_header_only(self, tmp_path):
@@ -332,6 +324,31 @@ class TestCli:
     def test_exponent_rejects_bad_alphas(self, capsys):
         assert cli_main(["exponent", "--alphas", "2,3", "--space", "l2"]) == 1
 
+    @pytest.mark.parametrize("flag,argv", [
+        ("--space", ["exponent", "--alphas", "2,2", "--space", "foo"]),
+        ("--quantity", ["analyze", "ts.csv", "--quantity", "hg:x", "--window", "1,2"]),
+        ("--window", ["analyze", "ts.csv", "--window", "1,2,3"]),
+        ("--window", ["analyze", "ts.csv", "--window", "a,b"]),
+    ], ids=["space", "quantity", "window-arity", "window-float"])
+    def test_bad_flag_value_is_a_usage_error(self, flag, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument {flag}:" in err
+        assert "Traceback" not in err
+
+    def test_analyze_rejects_missing_hgamma_column(self, tmp_path, capsys):
+        from anisoflow import NormSample
+
+        series = [NormSample(t=t, l1=1.0, l2=1.0, l4=1.0, linf=1.0, hgamma={1: 1.0},
+                             diss_x=0.0, diss_y=0.0, ul_l2=0.0, uh_l2=0.0)
+                  for t in (1.0, 2.0)]
+        path = str(tmp_path / "hg1.csv")
+        write_timeseries(series, path, [1])
+        assert cli_main(["analyze", path, "--quantity", "hg:2", "--window", "1,2"]) == 1
+        assert "no hg2 column" in capsys.readouterr().err
+
     def test_simulate_and_analyze_pipeline(self, tmp_path, capsys):
         csv_path = tmp_path / "ts.csv"
         cfg_text = (
@@ -371,8 +388,7 @@ class TestCli:
 
         def mk(t, v):
             return NormSample(t=t, l1=2 * v, l2=v, l4=v, linf=v, hgamma={1: v},
-                              diss_x=0.0, diss_y=0.0, ul_l2=0.0, uh_l2=0.0,
-                              ul_hgamma={}, uh_hgamma={})
+                              diss_x=0.0, diss_y=0.0, ul_l2=0.0, uh_l2=0.0)
 
         series = [mk(0.0, 1.0), mk(0.5, 0.9), mk(1.0, 0.95)]
         path = str(tmp_path / "up.csv")

@@ -140,7 +140,7 @@ def _sample(t, l2, diss_sq, linf=None):
     d = np.sqrt(diss_sq / 2.0)
     return NormSample(
         t=t, l1=l1, l2=l2, l4=l2, linf=linf, hgamma={},
-        diss_x=d, diss_y=d, ul_l2=0.0, uh_l2=0.0, ul_hgamma={}, uh_hgamma={},
+        diss_x=d, diss_y=d, ul_l2=0.0, uh_l2=0.0,
     )
 
 

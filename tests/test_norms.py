@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisoflow import (
     CutoffSpec,
@@ -8,14 +10,16 @@ from anisoflow import (
     NormSample,
     PhysicalField,
     SimState,
-    apply_isotropic,
+    SpectralField,
     default_mu,
     directional_seminorm,
     forward_transform,
     hgamma_seminorm,
     lp_norm,
+    make_grid,
     record,
 )
+from anisoflow.norms import _parseval_weighted
 
 from conftest import cosine_field, random_field
 
@@ -58,10 +62,11 @@ class TestHgamma:
         assert hgamma_seminorm(v, 2.0) == pytest.approx(4.0 * lp_norm(u, 2), rel=1e-12)
 
     def test_norm_nesting(self, grid32):
+        # ||u||_H(a+b) == || |xi|^a u ||_H(b)
         v = forward_transform(random_field(grid32, 1))
-        for gamma in (0.5, 1.0, 2.0):
-            direct = hgamma_seminorm(v, gamma)
-            nested = hgamma_seminorm(apply_isotropic(v, gamma), 0.0)
+        for a, b in ((0.5, 0.0), (1.0, 0.0), (2.0, 0.0), (0.5, 1.5), (1.0, 1.0)):
+            direct = hgamma_seminorm(v, a + b)
+            nested = hgamma_seminorm(SpectralField(grid32, v.coeffs * grid32.xi_mod ** a), b)
             assert nested == pytest.approx(direct, rel=1e-12)
 
     def test_rejects_negative(self, grid16):
@@ -90,6 +95,31 @@ class TestDirectionalSeminorm:
         v = forward_transform(random_field(grid16, 4))
         with pytest.raises(ValueError):
             directional_seminorm(v, "x", -0.25)
+
+
+even_points = st.integers(4, 32).map(lambda n: 2 * n)
+box_lengths = st.floats(0.1, 100.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(nx=even_points, ny=even_points, lx=box_lengths, ly=box_lengths,
+       seed=st.integers(0, 2 ** 32 - 1), p=st.floats(0.0, 2.0))
+def test_parseval_sums_match_explicit_weighted_sums(nx, ny, lx, ly, seed, p):
+    grid = make_grid(nx, ny, lx, ly)
+    u = PhysicalField(grid, np.random.default_rng(seed).standard_normal((nx, ny)))
+    v = forward_transform(u)
+    assert _parseval_weighted(v, 1.0) == pytest.approx(lp_norm(u, 2), rel=1e-12)
+    # wavenumbers 2*pi*j/l and |coeffs|^2 rebuilt from numpy, not from GridSpec
+    k1, k2 = np.meshgrid(2.0 * np.pi * np.fft.fftfreq(nx, d=lx / nx),
+                         2.0 * np.pi * np.fft.fftfreq(ny, d=ly / ny), indexing="ij")
+    abs2 = np.abs(np.fft.fft2(u.values) * (lx * ly / (nx * ny))) ** 2
+
+    def explicit(weight):
+        return np.sqrt(np.sum(weight * abs2) / (lx * ly))
+
+    assert hgamma_seminorm(v, p) == pytest.approx(explicit((k1 ** 2 + k2 ** 2) ** p), rel=1e-12)
+    assert directional_seminorm(v, "x", p) == pytest.approx(explicit(np.abs(k1) ** (2 * p)), rel=1e-12)
+    assert directional_seminorm(v, "y", p) == pytest.approx(explicit(np.abs(k2) ** (2 * p)), rel=1e-12)
 
 
 def make_sim_state(grid, values, alpha1=2.0, alpha2=2.0, t=0.0):
@@ -127,15 +157,13 @@ class TestRecord:
             NormSample(
                 t=0.0, l1=1.0, l2=10.0, l4=1.0, linf=1.0, hgamma={},
                 diss_x=0.0, diss_y=0.0, ul_l2=0.0, uh_l2=0.0,
-                ul_hgamma={}, uh_hgamma={},
             )
 
     def test_rejects_negative_entries(self):
         for bad in ({"l1": -1.0}, {"ledger": -1.0}, {"ledger": np.inf}):
             entries = dict(
                 t=0.0, l1=0.0, l2=0.0, l4=0.0, linf=0.0, hgamma={},
-                diss_x=0.0, diss_y=0.0, ul_l2=0.0, uh_l2=0.0,
-                ul_hgamma={}, uh_hgamma={}, ledger=0.0,
+                diss_x=0.0, diss_y=0.0, ul_l2=0.0, uh_l2=0.0, ledger=0.0,
             )
             NormSample(**entries)
             entries.update(bad)

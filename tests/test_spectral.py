@@ -6,12 +6,13 @@ from anisoflow import (
     MalformedSpectrumError,
     PhysicalField,
     SpectralField,
-    dealias,
     forward_transform,
     inverse_transform,
     lp_norm,
     make_grid,
 )
+
+from anisoflow.spectral import band_mask
 
 from conftest import TWO_PI, cosine_field, random_field, single_mode_spectrum
 
@@ -113,25 +114,44 @@ class TestTransforms:
             inverse_transform(SpectralField(grid16, coeffs))
 
 
+def truncate(v: SpectralField, denom: int = 3) -> np.ndarray:
+    """Truncation to the alias-free band, as the flux and the stepper apply it."""
+    return np.where(band_mask(v.grid, denom, strict=True), v.coeffs, 0.0)
+
+
 class TestDealias:
     def test_zero_spectrum_unchanged(self, grid16):
         v = SpectralField(grid16, np.zeros((16, 16), complex))
-        assert np.all(dealias(v).coeffs == 0.0)
+        assert np.all(truncate(v) == 0.0)
+        # the mean mode is kept by every band
+        v.coeffs[0, 0] = 1.0
+        for denom in (2, 3, 4, 5):
+            np.testing.assert_array_equal(truncate(v, denom), v.coeffs)
 
     def test_inside_band_unchanged(self, grid16):
         # nx=16: retained band |j| <= 5
         v = single_mode_spectrum(grid16, 5, -4)
-        np.testing.assert_array_equal(dealias(v).coeffs, v.coeffs)
+        np.testing.assert_array_equal(truncate(v), v.coeffs)
 
     def test_near_nyquist_mode_zeroed(self, grid16):
         v = single_mode_spectrum(grid16, 16 // 2 - 1, 0)
-        assert np.all(dealias(v).coeffs == 0.0)
+        assert np.all(truncate(v) == 0.0)
 
     def test_idempotent_exactly(self, grid16):
         v = forward_transform(random_field(grid16, 5))
-        once = dealias(v)
-        twice = dealias(once)
-        np.testing.assert_array_equal(once.coeffs, twice.coeffs)
+        once = truncate(v)
+        twice = truncate(SpectralField(grid16, once))
+        np.testing.assert_array_equal(once, twice)
+        # one cached, read-only mask per (grid, denom, strict)
+        assert band_mask(grid16, 3, strict=True) is band_mask(grid16, 3, strict=True)
+        assert not band_mask(grid16, 3, strict=True).flags.writeable
+
+    def test_strict_drops_the_edge_mode(self, grid16):
+        # denom 4 divides nx=16: |j| = 4 sits on the band edge
+        loose, strict = band_mask(grid16, 4), band_mask(grid16, 4, strict=True)
+        assert loose[4, 0] and loose[-4, 0] and loose[0, 4]
+        assert not (strict[4, 0] or strict[-4, 0] or strict[0, 4])
+        assert strict[3, 3] and strict[-3, -3]
 
 
 class TestFieldValidation:
