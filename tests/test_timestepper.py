@@ -27,6 +27,9 @@ from anisoflow import (
     step_ifrk4,
 )
 
+from anisoflow.config import validate_config
+from anisoflow.spectral import band_mask
+
 from conftest import TWO_PI, random_field, single_mode_spectrum
 
 
@@ -238,6 +241,23 @@ class TestEnergyLedger:
             assert state.ledger >= before
         series, _ = run_simulation(cfg)
         assert max(energy_audit(series).ledger_residuals) < 1e-3
+
+    def test_initial_state_is_alias_free(self):
+        # a blob band (0.6 of Nyquist) wider than kappa=2's alias-free band
+        # |j| < nx/4: left in the initial state, the excess was dropped by
+        # the first step outside the ledger (first-pair residual 0.584)
+        cfg = RunConfig(
+            nx=64, ny=64, lx=TWO_PI, ly=TWO_PI, alpha1=1.5, alpha2=2.0, kappa=2,
+            t_end=1.0, sample_every=0.25, ic=RandomBlobIC(7, 0.3, 0.6),
+            nonlinearity_enabled=True, timeseries_path="", checkpoint_path="",
+        )
+        validate_config(cfg)
+        outside = ~band_mask(make_grid(64, 64, TWO_PI, TWO_PI), 4, strict=True)
+        assert np.all(initial_state(cfg).u_hat.coeffs[outside] == 0.0)
+        linear = initial_state(replace(cfg, nonlinearity_enabled=False))
+        assert np.any(linear.u_hat.coeffs[outside] != 0.0)
+        series, _ = run_simulation(cfg)
+        assert max(energy_audit(series).ledger_residuals) < 1e-4
 
     def test_rejects_negative_ledger(self, grid16):
         d = DissipationSpec(grid16, 2.0, 2.0)
