@@ -76,4 +76,3 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec) -> np.n
     w_hat = _fft.fft2(w, workers=FFT_WORKERS) * area
     xi1, xi2 = grid.mesh_xi()
     return np.where(keep, 1j * (xi1 + xi2) * w_hat, 0.0)
-
