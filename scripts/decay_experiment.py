@@ -21,19 +21,33 @@ from anisoflow import (
     linear_twin_series,
     max_principle_audit,
     run_simulation,
+    sample_times,
     theoretical_exponent,
 )
+from anisoflow.cli import _parse_window
+from anisoflow.config import validate_config
 
 
-def report(args) -> None:
+def build(args) -> RunConfig:
+    """The run config, checked against the fit window before anything runs."""
     a1, a2 = (float(x) for x in args.alphas.split(","))
-    window = tuple(float(x) for x in args.window.split(","))
     cfg = RunConfig(
         nx=args.nx, ny=args.nx, lx=args.box * math.pi, ly=args.box * math.pi,
         alpha1=a1, alpha2=a2, t_end=args.t_end, sample_every=args.sample_every,
         cfl_safety=args.cfl_safety, ic=GaussianIC(args.amplitude, args.radius),
         nonlinearity_enabled=not args.linear, timeseries_path=args.csv or "",
     )
+    validate_config(cfg)
+    # a dry fit on the run's sample times raises the error the real fits
+    # would raise after the run, if the window holds too few samples
+    times = [0.0] + sample_times(cfg.t_end, cfg.sample_every)
+    fit_power_law([(t, 1.0 + t) for t in times], args.window)
+    return cfg
+
+
+def report(args, cfg: RunConfig) -> None:
+    a1, a2 = cfg.alpha1, cfg.alpha2
+    window = args.window
     t0 = time.perf_counter()
     series, _ = run_simulation(cfg)
     elapsed = time.perf_counter() - t0
@@ -79,12 +93,16 @@ def main() -> None:
     p.add_argument("--t-end", type=float, default=100.0)
     p.add_argument("--sample-every", type=float, default=0.5)
     p.add_argument("--cfl-safety", type=float, default=0.5)
-    p.add_argument("--window", default="10,100")
+    p.add_argument("--window", default="10,100", type=_parse_window, help="lo,hi")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--linear", action="store_true", help="disable the nonlinearity")
     p.add_argument("--csv", default="", help="optional timeseries output path")
     args = p.parse_args()
-    report(args)
+    try:
+        cfg = build(args)
+    except ValueError as exc:  # ConfigError included
+        p.error(str(exc))
+    report(args, cfg)
 
 
 if __name__ == "__main__":

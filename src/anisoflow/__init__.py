@@ -21,7 +21,6 @@ from .errors import (
     BlowUpError,
     CheckpointError,
     ConfigError,
-    MalformedSpectrumError,
     NonFiniteStateError,
 )
 from .freqsplit import CutoffSpec, chi0, default_mu, split

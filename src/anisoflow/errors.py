@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class MalformedSpectrumError(ValueError):
-    """Spectral coefficients violate Hermitian symmetry beyond tolerance."""
-
-
 class NonFiniteStateError(ValueError):
     """A field picked up NaN/Inf values (e.g. overflow in the flux power)."""
 

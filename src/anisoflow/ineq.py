@@ -88,14 +88,10 @@ def _half_spectrum(spec: FieldCorpusSpec, rng: np.random.Generator) -> np.ndarra
     """One rfft2-layout spectrum: prescribed moduli, random phases, real field."""
     nx, ny = spec.grid.nx, spec.grid.ny
     hy = ny // 2 + 1
-    xi1 = spec.grid.xi1[:, None]
-    xi2 = spec.grid.xi2[:hy][None, :]
-    env = spec.spectrum_law.envelope(np.sqrt(xi1 * xi1 + xi2 * xi2))
-    jx = spec.grid.jx[:, None]
-    jy = spec.grid.jy[:hy][None, :]
+    env = spec.spectrum_law.envelope(spec.grid.xi_mod)
     env = np.where(
-        (np.abs(jx) <= spec.band_limit * nx / 2.0)
-        & (np.abs(jy) <= spec.band_limit * ny / 2.0),
+        (np.abs(spec.grid.jx[:, None]) <= spec.band_limit * nx / 2.0)
+        & (spec.grid.jy[None, :] <= spec.band_limit * ny / 2.0),
         env,
         0.0,
     )
@@ -245,7 +241,8 @@ def fourier_bound_report(
     For each probe mode xi the implied constant is
     max(0, |u_hat|^2 - ||u0||_L1^2) / (|xi| * int_0^t ||u||_L2^2 ||u||_L1).
     Also reports the worst excess of |u_hat| over ||u||_L1, which the
-    transform convention keeps <= 0 up to roundoff.
+    transform convention keeps <= 0 up to roundoff.  A probe (j, k) with
+    k < 0 reads the stored mode (-j, -k) and is reported as that mode.
     """
     if not run:
         raise ValueError("empty run")
@@ -267,17 +264,24 @@ def fourier_bound_report(
     )
     l1_0_sq = l1[0] ** 2
 
-    sup_c = 0.0
-    arg_probe = probes[0]
-    arg_time = times[0]
-    excess = -np.inf
+    modes = []
     for jk in probes:
         j, k = int(jk[0]), int(jk[1])
+        if abs(j) > grid.nx // 2 or abs(k) > grid.ny // 2:
+            raise ValueError(f"probe {(j, k)} lies outside the lattice")
+        # the half lattice keeps -xi, with |u_hat(xi)| = |u_hat(-xi)|
+        modes.append((-j, -k) if k < 0 else (j, k))
+
+    sup_c = 0.0
+    arg_probe = modes[0]
+    arg_time = times[0]
+    excess = -np.inf
+    for j, k in modes:
         xi = np.hypot(2.0 * np.pi * j / grid.lx, 2.0 * np.pi * k / grid.ly)
         if xi == 0.0:
             raise ValueError("probes must be nonzero modes")
         for i, (t, v) in enumerate(run):
-            mag = abs(v.coeffs[j % grid.nx, k % grid.ny])
+            mag = abs(v.coeffs[j % grid.nx, k])
             excess = max(excess, mag - l1[i])
             if cumulative[i] > 0.0:
                 c_star = max(0.0, mag ** 2 - l1_0_sq) / (xi * cumulative[i])

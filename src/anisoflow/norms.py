@@ -63,10 +63,11 @@ def lp_norm(u: PhysicalField, p) -> float:
 
 
 def _parseval_weighted(v: SpectralField, weight) -> float:
-    """sqrt(sum(weight * |coeffs|^2) / (lx * ly)): the L^2 norm of the
-    multiplier weight^(1/2) applied to v, by Parseval."""
-    total = np.sum(weight * np.abs(v.coeffs) ** 2) / v.grid.area()
-    return float(np.sqrt(total))
+    """sqrt(sum(weight * |coeffs|^2) / (lx * ly)) over the full lattice: the
+    L^2 norm of the multiplier weight^(1/2) applied to v, by Parseval.  The
+    half lattice's columns enter with grid.column_weight."""
+    per_column = np.sum(weight * np.abs(v.coeffs) ** 2, axis=0)
+    return float(np.sqrt(np.dot(per_column, v.grid.column_weight) / v.grid.area()))
 
 
 def hgamma_seminorm(v: SpectralField, gamma: float) -> float:

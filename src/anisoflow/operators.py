@@ -15,7 +15,7 @@ from .spectral import FFT_WORKERS, GridSpec, band_mask, fourier_weight
 class DissipationSpec:
     """Anisotropy pair (alpha1, alpha2) and the precomputed symbol.
 
-    symbol[j, k] = |xi1[j]|^alpha1 + |xi2[k]|^alpha2 over the grid lattice.
+    symbol[j, k] = |xi1[j]|^alpha1 + |xi2[k]|^alpha2 over the half lattice.
     """
 
     grid: GridSpec
@@ -67,12 +67,12 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec) -> np.n
     """
     keep = band_mask(grid, flux.dealias_denom, strict=True)
     area = grid.cell_area()
-    u_band = _fft.ifft2(np.where(keep, coeffs, 0.0), workers=FFT_WORKERS).real / area
+    u_band = _fft.irfft2(np.where(keep, coeffs, 0.0), s=(grid.nx, grid.ny), workers=FFT_WORKERS) / area
     w = flux(u_band)
     if not np.all(np.isfinite(w)):
         raise NonFiniteStateError(
             f"overflow evaluating flux power u^{flux.kappa + 1}"
         )
-    w_hat = _fft.fft2(w, workers=FFT_WORKERS) * area
+    w_hat = _fft.rfft2(w, workers=FFT_WORKERS) * area
     xi1, xi2 = grid.mesh_xi()
     return np.where(keep, 1j * (xi1 + xi2) * w_hat, 0.0)

@@ -35,12 +35,14 @@ def synthesize_ic(cfg: RunConfig, grid: GridSpec) -> PhysicalField:
         return PhysicalField(grid, ic.amplitude * np.cos(phase))
     if isinstance(ic, RandomBlobIC):
         rng = np.random.default_rng(ic.seed)
+        # phases drawn over the full lattice; the real part of the inverse
+        # transform symmetrizes the spectrum
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(grid.nx, grid.ny))
         keep_x = np.abs(grid.jx) <= ic.band * grid.nx / 2.0
-        keep_y = np.abs(grid.jy) <= ic.band * grid.ny / 2.0
+        jy = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny).astype(np.int64)
+        keep_y = np.abs(jy) <= ic.band * grid.ny / 2.0
         c = np.where(keep_x[:, None] & keep_y[None, :], np.exp(1j * phases), 0.0)
         c[0, 0] = 0.0
-        # real part of the inverse transform symmetrizes the spectrum
         values = np.fft.ifft2(c).real
         peak = np.max(np.abs(values))
         if peak > 0.0:

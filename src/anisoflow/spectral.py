@@ -1,14 +1,21 @@
 """Periodic grid, discrete Fourier transform conventions, Fourier weights
 and the alias-free band masks.
 
-The transform pair approximates the continuous Fourier transform on a
-periodic box: forward coefficients carry the dx*dy quadrature weight, so
-|coeffs(xi)| <= ||u||_L1 holds discretely and Parseval reads
+Every field is real, so a spectrum is stored on the half lattice of
+scipy.fft.rfft2, shape (nx, ny//2 + 1): the coefficient at -xi is the
+conjugate of the one at xi and is not kept.  The transform pair
+approximates the continuous Fourier transform on a periodic box: forward
+coefficients carry the dx*dy quadrature weight, so |coeffs(xi)| <= ||u||_L1
+holds discretely and Parseval reads
 
-    sum(|u|^2) * dx * dy == sum(|coeffs|^2) / (lx * ly).
+    sum(|u|^2) * dx * dy == sum(column_weight * |coeffs|^2) / (lx * ly),
 
-Wavenumbers follow the signed FFT layout: xi1[j] = 2*pi*j_tilde/lx with
-j_tilde in [-nx/2, nx/2).
+where column_weight counts each stored column k > 0 twice, for itself and
+its mirror -k, and the self-conjugate columns k = 0 and k = ny/2 once.
+
+Wavenumbers along x follow the signed FFT layout: xi1[j] = 2*pi*j_tilde/lx
+with j_tilde in [-nx/2, nx/2).  Along y only k = 0 .. ny/2 is stored:
+xi2[k] = 2*pi*k/ly >= 0.
 """
 
 from __future__ import annotations
@@ -19,14 +26,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import MalformedSpectrumError
-
 # pocketfft is deterministic for any worker count; 2 matches the small
 # containers this usually runs in.
 FFT_WORKERS = 2
-
-#: Hermitian-symmetry tolerance (relative) accepted by inverse_transform.
-SYMMETRY_RTOL = 1e-10
 
 _MIN_POINTS = 8
 
@@ -88,7 +90,8 @@ class GridSpec:
 
     @cached_property
     def jy(self) -> np.ndarray:
-        return _readonly(np.fft.fftfreq(self.ny, d=1.0 / self.ny).astype(np.int64))
+        """Integer mode indices 0 .. ny/2 of the stored half lattice along y."""
+        return _readonly(np.arange(self.ny // 2 + 1))
 
     @cached_property
     def xi1(self) -> np.ndarray:
@@ -97,17 +100,27 @@ class GridSpec:
 
     @cached_property
     def xi2(self) -> np.ndarray:
+        """Wavenumbers 2*pi*k/ly >= 0 along y, shape (ny//2 + 1,)."""
         return _readonly(2.0 * np.pi * self.jy / self.ly)
 
     def mesh_xi(self) -> tuple[np.ndarray, np.ndarray]:
-        """Broadcastable wavenumber arrays, shapes (nx, 1) and (1, ny)."""
+        """Broadcastable wavenumber arrays, shapes (nx, 1) and (1, ny//2 + 1)."""
         return self.xi1[:, None], self.xi2[None, :]
 
     @cached_property
     def xi_mod(self) -> np.ndarray:
-        """|xi| over the lattice, shape (nx, ny)."""
+        """|xi| over the half lattice, shape (nx, ny//2 + 1)."""
         x1, x2 = self.mesh_xi()
         return _readonly(np.sqrt(x1 * x1 + x2 * x2))
+
+    @cached_property
+    def column_weight(self) -> np.ndarray:
+        """How many lattice columns each stored column stands for, shape
+        (ny//2 + 1,): 1 for the self-conjugate k = 0 and Nyquist columns,
+        2 for every other k, which also stands for its mirror -k."""
+        w = np.full(self.ny // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        return _readonly(w)
 
     def cell_area(self) -> float:
         return self.dx * self.dy
@@ -135,9 +148,10 @@ class PhysicalField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex Fourier coefficients over the full wavenumber lattice.
+    """Complex Fourier coefficients of a real field on the half lattice.
 
     coeffs[j, k] = dx*dy * sum_xy u(x, y) * exp(-i*(xi1[j]*x + xi2[k]*y))
+    for k = 0 .. ny/2; the modes k < 0 are implied by coeffs(-xi) = conj(coeffs(xi)).
     """
 
     grid: GridSpec
@@ -145,11 +159,9 @@ class SpectralField:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.grid.nx, self.grid.ny):
-            raise ValueError(
-                f"coeffs shape {c.shape} does not match grid "
-                f"({self.grid.nx}, {self.grid.ny})"
-            )
+        half = (self.grid.nx, self.grid.ny // 2 + 1)
+        if c.shape != half:
+            raise ValueError(f"coeffs shape {c.shape} does not match the half lattice {half}")
         object.__setattr__(self, "coeffs", c)
 
 
@@ -162,28 +174,15 @@ def forward_transform(u: PhysicalField) -> SpectralField:
     """Physical samples -> quadrature-weighted Fourier coefficients."""
     if not np.all(np.isfinite(u.values)):
         raise ValueError("physical field contains nonfinite values")
-    coeffs = _fft.fft2(u.values, workers=FFT_WORKERS) * u.grid.cell_area()
+    coeffs = _fft.rfft2(u.values, workers=FFT_WORKERS) * u.grid.cell_area()
     return SpectralField(u.grid, coeffs)
 
 
-def hermitian_defect(coeffs: np.ndarray) -> float:
-    """Max |coeffs(xi) - conj(coeffs(-xi))| over the lattice."""
-    mirror = np.roll(coeffs[::-1, ::-1], shift=(1, 1), axis=(0, 1))
-    return float(np.max(np.abs(coeffs - np.conj(mirror))))
-
-
 def inverse_transform(v: SpectralField) -> PhysicalField:
-    """Fourier coefficients -> real samples; rejects asymmetric spectra."""
-    scale = float(np.max(np.abs(v.coeffs)))
-    if scale > 0.0:
-        defect = hermitian_defect(v.coeffs)
-        if defect > SYMMETRY_RTOL * scale:
-            raise MalformedSpectrumError(
-                f"spectrum is not Hermitian-symmetric: defect {defect:.3e} "
-                f"exceeds {SYMMETRY_RTOL:.1e} * max|coeffs|"
-            )
-    values = _fft.ifft2(v.coeffs, workers=FFT_WORKERS).real / v.grid.cell_area()
-    return PhysicalField(v.grid, values)
+    """Half-lattice Fourier coefficients -> real samples."""
+    g = v.grid
+    values = _fft.irfft2(v.coeffs, s=(g.nx, g.ny), workers=FFT_WORKERS) / g.cell_area()
+    return PhysicalField(g, values)
 
 
 @lru_cache(maxsize=32)
@@ -197,7 +196,8 @@ def _band_mask_cached(grid: GridSpec, denom: int, strict: bool) -> np.ndarray:
 
 
 def band_mask(grid: GridSpec, denom: int, strict: bool = False) -> np.ndarray:
-    """Keep-mask for modes with |j_tilde| <= nx/denom and |k_tilde| <= ny/denom.
+    """Half-lattice keep-mask for modes with |j_tilde| <= nx/denom and
+    k <= ny/denom.
 
     Integer arithmetic, so the band edge is exact.  With strict=True the
     edge mode is dropped when denom divides the grid size, which keeps
@@ -212,7 +212,8 @@ def fourier_weight(grid: GridSpec, p: float, axis: str | None = None):
     The one place lattice wavenumbers are raised to a power: the
     dissipation symbol, the seminorms and the inequality ratios all take
     their weights from here.  Directional weights have shape (nx, 1) or
-    (1, ny) and broadcast against the lattice; p = 0 gives the scalar 1.0.
+    (1, ny//2 + 1) and broadcast against the half lattice; p = 0 gives the
+    scalar 1.0.
     """
     if axis == "x":
         base = np.abs(grid.xi1[:, None])

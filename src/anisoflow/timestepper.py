@@ -38,11 +38,11 @@ class SimState:
     """One time level of the semi-discrete system u_hat' = -m*u_hat - N(u).
 
     flux=None disables the nonlinearity (pure multiplier decay).
-    u_hat stays Hermitian-symmetric along any trajectory started from a
-    real field; t is nondecreasing across steps.  ledger is the in-step
-    energy ledger: the time integral of the dissipation
-    sum(m*|u_hat|^2)/(lx*ly) accumulated by step_ifrk4 since the state was
-    built, so that 0.5*||u||^2 + ledger stays constant along exact solutions.
+    u_hat holds the half lattice of a real field (see SpectralField); t is
+    nondecreasing across steps.  ledger is the in-step energy ledger: the
+    time integral of the dissipation sum(m*|u_hat|^2)/(lx*ly) over the full
+    lattice, accumulated by step_ifrk4 since the state was built, so that
+    0.5*||u||^2 + ledger stays constant along exact solutions.
     """
 
     t: float
@@ -91,7 +91,7 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
     e_full = np.exp(-dt * m)
     if s.flux is None:
         new = e_full * c
-        fold, m_kept, mult = _quadrant(s.dissipation, None)
+        fold, m_kept, mult = _quadrant(s.dissipation, 1)
         # exact for the free decay: 0.5*|c|^2*(1 - exp(-2*m*dt)) per mode
         dissipated = -0.5 * np.expm1(-2.0 * dt * m_kept) * _folded_abs2(c, fold)
     else:
@@ -127,35 +127,26 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
     return replace(s, t=s.t + dt, u_hat=SpectralField(grid, new), ledger=s.ledger + dissipated)
 
 
-def _quadrant(d: DissipationSpec, denom: int | None):
-    """Fold of the retained band (every mode for denom=None) onto j, k >= 0.
+def _quadrant(d: DissipationSpec, denom: int):
+    """Fold of the retained band (every mode for denom=1) onto j, k >= 0.
 
-    The symbol is even in each wavenumber, so the ledger weights need only
-    the (|j|, k >= 0) quadrant.  Returns the fold (numbers of retained rows
-    with j >= 0 and with j < 0, number of retained columns k >= 0), the
-    symbol on the quadrant, and each column's multiplicity: a column k > 0
-    also stands for its Hermitian mirror at -k, except the self-conjugate
-    Nyquist column.
+    The symbol is even in j, so the ledger weights need only the rows
+    j >= 0 of the half lattice.  Returns the fold (numbers of retained rows
+    with j >= 0 and with j < 0, number of retained columns), the symbol on
+    the quadrant, and each column's multiplicity, grid.column_weight.
     """
     g = d.grid
-    if denom is None:
-        n_pos, n_neg, ncols = g.nx // 2, g.nx // 2, g.ny // 2 + 1
-    else:
-        keep = band_mask(g, denom, strict=True)
-        n_pos = int(np.count_nonzero(keep[: g.nx // 2, 0]))
-        n_neg = int(np.count_nonzero(keep[g.nx // 2:, 0]))
-        ncols = int(np.count_nonzero(keep[0, : g.ny // 2 + 1]))
-    mult = np.full(ncols, 2.0)
-    mult[0] = 1.0
-    if 2 * (ncols - 1) == g.ny:
-        mult[-1] = 1.0
+    keep = band_mask(g, denom, strict=True)
+    n_pos = int(np.count_nonzero(keep[: g.nx // 2, 0]))
+    n_neg = int(np.count_nonzero(keep[g.nx // 2:, 0]))
+    ncols = int(np.count_nonzero(keep[0]))
     # rows j and -j share the symbol; the last row may be the Nyquist row
     # j = -nx/2, which sits at index nx/2 itself
-    return (n_pos, n_neg, ncols), d.symbol[: max(n_pos, n_neg + 1), :ncols], mult
+    return (n_pos, n_neg, ncols), d.symbol[: max(n_pos, n_neg + 1), :ncols], g.column_weight[:ncols]
 
 
 def _folded_abs2(a: np.ndarray, fold: tuple[int, int, int]) -> np.ndarray:
-    """|a|^2 on the retained half-plane, rows j and -j summed onto row |j|."""
+    """|a|^2 on the retained band, rows j and -j summed onto row |j|."""
     n_pos, n_neg, ncols = fold
     out = np.zeros((max(n_pos, n_neg + 1), ncols))
     for rows, dest in ((a[:n_pos, :ncols], out[:n_pos]), (a[: -n_neg - 1: -1, :ncols], out[1: n_neg + 1])):

@@ -22,8 +22,9 @@ def random_field(grid: GridSpec, seed: int, band_denom: int | None = None) -> Ph
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((grid.nx, grid.ny))
     if band_denom is not None:
-        c = np.fft.fft2(values)
-        values = np.fft.ifft2(np.where(band_mask(grid, band_denom, strict=True), c, 0.0)).real
+        c = np.fft.rfft2(values)
+        values = np.fft.irfft2(np.where(band_mask(grid, band_denom, strict=True), c, 0.0),
+                               s=values.shape)
     return PhysicalField(grid, values)
 
 
@@ -33,9 +34,16 @@ def cosine_field(grid: GridSpec, kx: int, ky: int, amplitude: float = 1.0) -> Ph
 
 
 def single_mode_spectrum(grid: GridSpec, kx: int, ky: int, amplitude: float = 1.0) -> SpectralField:
-    """Spectrum of amplitude*cos(...) with exactly two nonzero coefficients."""
-    c = np.zeros((grid.nx, grid.ny), dtype=complex)
+    """Half-lattice spectrum of amplitude*cos(...): of the two modes +-(kx, ky)
+    it stores those with k in [0, ny/2], so both when k is 0 or Nyquist."""
+    c = np.zeros((grid.nx, grid.ny // 2 + 1), dtype=complex)
     half = amplitude * grid.area() / 2.0
-    c[kx % grid.nx, ky % grid.ny] += half
-    c[(-kx) % grid.nx, (-ky) % grid.ny] += half
+    for j, k in ((kx, ky), (-kx, -ky)):
+        if k % grid.ny <= grid.ny // 2:
+            c[j % grid.nx, k % grid.ny] += half
     return SpectralField(grid, c)
+
+
+def spectral_energy(v: SpectralField) -> float:
+    """sum(|coeffs|^2) / (lx * ly) over the full lattice, from the half one."""
+    return float(np.sum(v.grid.column_weight * np.abs(v.coeffs) ** 2) / v.grid.area())

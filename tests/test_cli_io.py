@@ -1,22 +1,35 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisoflow import (
     CheckpointError,
     ConfigError,
+    DissipationSpec,
+    FluxSpec,
     GaussianIC,
+    PhysicalField,
     RandomBlobIC,
     RunConfig,
+    SimState,
     SingleModeIC,
     advance_to,
     checkpoint_read,
     checkpoint_write,
     energy_audit,
+    forward_transform,
     inverse_transform,
     load_config,
+    make_grid,
     max_principle_audit,
     read_timeseries,
     run_simulation,
@@ -27,6 +40,7 @@ from anisoflow.cli import main as cli_main
 from anisoflow.config import parse_ic
 
 TWO_PI = 2.0 * np.pi
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -247,6 +261,30 @@ class TestCheckpoint:
         b = inverse_transform(state.u_hat).values
         assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(nx=st.integers(4, 32).map(lambda n: 2 * n), ny=st.integers(4, 32).map(lambda n: 2 * n),
+           lx=st.floats(0.1, 100.0), ly=st.floats(0.1, 100.0), t=st.floats(0.0, 1e3),
+           alpha1=st.floats(1.01, 2.0), alpha2=st.floats(1.01, 2.0),
+           kappa=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_round_trip_property(self, nx, ny, lx, ly, t, alpha1, alpha2, kappa, seed):
+        grid = make_grid(nx, ny, lx, ly)
+        u = PhysicalField(grid, np.random.default_rng(seed).standard_normal((nx, ny)))
+        state = SimState(t, forward_transform(u), DissipationSpec(grid, alpha1, alpha2),
+                         FluxSpec(kappa) if kappa else None)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.ckpt"
+            checkpoint_write(state, str(path))
+            payload = path.read_bytes()[-8 * nx * ny:]
+            loaded = checkpoint_read(str(path))
+        # the physical field is stored and read back byte for byte, and the
+        # loaded state is its forward transform
+        written = inverse_transform(state.u_hat)
+        assert payload == written.values.astype("<f8").tobytes()
+        np.testing.assert_array_equal(loaded.u_hat.coeffs, forward_transform(written).coeffs)
+        assert (loaded.grid, loaded.t) == (grid, t)
+        assert (loaded.dissipation.alpha1, loaded.dissipation.alpha2) == (alpha1, alpha2)
+        assert (loaded.flux.kappa if loaded.flux else 0) == kappa
+
     def test_linear_flag_round_trip(self, tmp_path):
         cfg = tiny_config(tmp_path)
         _, state = run_simulation(cfg)
@@ -337,6 +375,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage:") and f"argument {flag}:" in err
         assert "Traceback" not in err
+
+    def test_decay_experiment_rejects_short_window_before_running(self):
+        # --window 1,3 holds 5 samples (0.5 spacing), fewer than a fit needs
+        argv = ["--nx", "64", "--box", "20", "--t-end", "3", "--window", "1,3"]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "decay_experiment.py"), *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].endswith(
+            "error: need at least 8 samples in window [1.0, 3.0], found 5")
+        assert proc.stdout == ""  # the run report never started
 
     def test_analyze_rejects_missing_hgamma_column(self, tmp_path, capsys):
         from anisoflow import NormSample

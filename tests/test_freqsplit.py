@@ -12,8 +12,6 @@ from anisoflow import (
     hgamma_seminorm,
     split,
 )
-from anisoflow.spectral import hermitian_defect
-
 from conftest import random_field, single_mode_spectrum
 
 
@@ -94,15 +92,6 @@ class TestSplit:
         ul, uh = split(v, 0.0, CutoffSpec(mu), d)
         assert np.all(uh.coeffs == 0.0)
         np.testing.assert_array_equal(ul.coeffs, v.coeffs)
-
-    def test_parts_hermitian(self, grid32):
-        d = DissipationSpec(grid32, 1.2, 1.8)
-        c = CutoffSpec(default_mu(1.2, 1.8))
-        v = forward_transform(random_field(grid32, 3))
-        ul, uh = split(v, 1.0, c, d)
-        scale = np.max(np.abs(v.coeffs))
-        assert hermitian_defect(ul.coeffs) <= 1e-12 * scale
-        assert hermitian_defect(uh.coeffs) <= 1e-12 * scale
 
     def test_pythagoras_with_transition_slack(self, grid32):
         d = DissipationSpec(grid32, 1.5, 2.0)

@@ -61,9 +61,8 @@ class TestCorpusGeneration:
         nx = spec.grid.nx
         for f in generate_corpus(spec):
             c = forward_transform(f).coeffs
-            j = spec.grid.jx
-            outside = (np.abs(j)[:, None] > 2.0 / 3.0 * nx / 2.0) | (
-                np.abs(j)[None, :] > 2.0 / 3.0 * nx / 2.0
+            outside = (np.abs(spec.grid.jx)[:, None] > 2.0 / 3.0 * nx / 2.0) | (
+                spec.grid.jy[None, :] > 2.0 / 3.0 * nx / 2.0
             )
             assert np.max(np.abs(c[outside])) <= 1e-10 * np.max(np.abs(c))
 
@@ -218,3 +217,14 @@ class TestFourierBound:
         assert np.isfinite(a) and np.isfinite(b)
         assert abs(a - b) <= 0.2 * max(a, b) + 1e-30
         assert a == 0.0 and b == 0.0
+
+    def test_negative_k_probe_reads_the_mirror_mode(self):
+        # the half lattice stores (-j, -k) for a probe (j, k) with k < 0;
+        # |u_hat(xi)| = |u_hat(-xi)| makes both probes one measurement
+        snaps = _run_snapshots(64, 1.0, nonlinear=True)
+        negative_k = fourier_bound_report(snaps, [(1, -1), (3, -2)])
+        positive_k = fourier_bound_report(snaps, [(-1, 1), (-3, 2)])
+        assert negative_k == positive_k
+        assert negative_k.probe == (-1, 1)
+        with pytest.raises(ValueError):
+            fourier_bound_report(snaps, [(0, 33)])

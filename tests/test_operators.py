@@ -26,9 +26,11 @@ class TestDissipationSpec:
         positive = np.ones_like(m, dtype=bool)
         positive[0, 0] = False
         assert np.all(m[positive] > 0.0)
-        # even in each variable: m(j, k) == m(-j, k) == m(j, -k)
+        # even in j: m(j, k) == m(-j, k); the half lattice stores k >= 0 only
+        assert m.shape == (16, 9)
         np.testing.assert_allclose(m[1:, :], m[:0:-1, :], rtol=0, atol=0)
-        np.testing.assert_allclose(m[:, 1:], m[:, :0:-1], rtol=0, atol=0)
+        # the last column is the Nyquist mode k = 8
+        assert m[0, -1] == 8.0 ** 2.0
 
     @pytest.mark.parametrize("a1,a2", [(1.0, 2.0), (2.0, 2.5), (0.5, 1.5), (2.1, 2.0)])
     def test_alpha_domain(self, grid16, a1, a2):
