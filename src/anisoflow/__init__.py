@@ -1,6 +1,8 @@
 """Pseudo-spectral simulator and decay-rate toolkit for the 2D conservation
 law with direction-dependent fractional dissipation."""
 
+from types import ModuleType as _ModuleType
+
 from .config import (
     GaussianIC,
     RandomBlobIC,
@@ -33,9 +35,6 @@ from .ineq import (
     corpus_report,
     fourier_bound_report,
     generate_corpus,
-    gn_ratio,
-    lemma53_ratio,
-    lemma54_ratio,
 )
 from .io import checkpoint_read, checkpoint_write, read_timeseries, write_timeseries
 from .norms import (
@@ -64,4 +63,6 @@ from .spectral import (
 )
 from .timestepper import SimState, cfl_dt, linear_exact, step_ifrk4
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodules are not exports: `import *` would bind io over the stdlib's
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]

@@ -21,6 +21,7 @@ from .spectral import (
     SpectralField,
     forward_transform,
     fourier_weight,
+    inverse_transform,
 )
 
 
@@ -137,90 +138,85 @@ def lemma54_exponents(gamma: int, d: DissipationSpec) -> dict[str, float]:
     }
 
 
-def _lemma_pieces(u: PhysicalField, gamma: int, d: DissipationSpec):
-    if int(gamma) != gamma or gamma < 1:
-        raise ValueError(f"gamma must be an integer >= 1, got {gamma}")
-    v = forward_transform(u)
-    iso2g = fourier_weight(u.grid, 2.0 * gamma)
-    wx = fourier_weight(u.grid, d.alpha1, "x")
-    wy = fourier_weight(u.grid, d.alpha2, "y")
-    lhs = _parseval_weighted(v, iso2g * fourier_weight(u.grid, 2.0 - d.alpha1, "x"))
-    big_x = _parseval_weighted(v, iso2g * wx)
-    small_x = _parseval_weighted(v, wx)
-    big_y = _parseval_weighted(v, iso2g * wy)
-    small_y = _parseval_weighted(v, wy)
-    grad_g = _parseval_weighted(v, iso2g)
-    return lhs, big_x, small_x, big_y, small_y, grad_g
+def _gn_exponents(gamma: int, d: DissipationSpec) -> dict[str, float]:
+    return {"h2": 0.5, "l2": 0.5}
 
 
-def lemma53_ratio(u: PhysicalField, gamma: int, d: DissipationSpec) -> float:
-    """Ratio for the split bounding grad^g Lx^(1-a1/2) by dissipation seminorms."""
-    lhs, big_x, small_x, big_y, small_y, _ = _lemma_pieces(u, gamma, d)
-    e = lemma53_exponents(gamma, d)
-    rhs = big_x ** e["theta1"] * small_x ** (1.0 - e["theta1"]) \
-        + big_y ** e["theta2"] * small_y ** (1.0 - e["theta2"])
-    if rhs == 0.0:
-        raise DegenerateSampleError("interpolation right-hand side vanished")
-    return lhs / rhs
+def _sum_weight(name: str, gamma: int, d: DissipationSpec):
+    """Fourier weight |xi|^p * |xi_axis|^q of a named Parseval sum, or None
+    for linf, the physical-space sup norm."""
+    if name == "linf":
+        return None
+    p, q, axis = {
+        "lhs": (2.0 * gamma, 2.0 - d.alpha1, "x"),
+        "big_x": (2.0 * gamma, d.alpha1, "x"),
+        "small_x": (0.0, d.alpha1, "x"),
+        "big_y": (2.0 * gamma, d.alpha2, "y"),
+        "small_y": (0.0, d.alpha2, "y"),
+        "grad_g": (2.0 * gamma, 0.0, None),
+        "h2": (4.0, 0.0, None),
+        "l2": (0.0, 0.0, None),
+    }[name]
+    return fourier_weight(d.grid, p) * fourier_weight(d.grid, q, axis)
 
 
-def lemma54_ratio(u: PhysicalField, gamma: int, d: DissipationSpec) -> float:
-    """Ratio for the variant interpolating against ||grad^g u|| instead."""
-    lhs, big_x, _, big_y, _, grad_g = _lemma_pieces(u, gamma, d)
-    e = lemma54_exponents(gamma, d)
-    rhs = big_x ** e["s1"] * grad_g ** (1.0 - e["s1"]) \
-        + big_y ** e["s2"] * grad_g ** (1.0 - e["s2"])
-    if rhs == 0.0:
-        raise DegenerateSampleError("interpolation right-hand side vanished")
-    return lhs / rhs
+def _lemma53(s, e):
+    """grad^g Lx^(1-a1/2) u against interpolated dissipation seminorms."""
+    return s["lhs"], (s["big_x"] ** e["theta1"] * s["small_x"] ** (1.0 - e["theta1"])
+                      + s["big_y"] ** e["theta2"] * s["small_y"] ** (1.0 - e["theta2"]))
 
 
-def gn_ratio(u: PhysicalField) -> float:
-    """Gagliardo-Nirenberg ratio ||u||_inf / (||u||_H2^0.5 * ||u||_L2^0.5)."""
-    v = forward_transform(u)
-    h2 = _parseval_weighted(v, fourier_weight(u.grid, 4))
-    l2 = _parseval_weighted(v, 1.0)
-    denom = np.sqrt(h2) * np.sqrt(l2)
-    if denom == 0.0:
-        raise DegenerateSampleError("Gagliardo-Nirenberg denominator vanished")
-    return lp_norm(u, np.inf) / denom
+def _lemma54(s, e):
+    """The variant interpolating against ||grad^g u|| instead."""
+    return s["lhs"], (s["big_x"] ** e["s1"] * s["grad_g"] ** (1.0 - e["s1"])
+                      + s["big_y"] ** e["s2"] * s["grad_g"] ** (1.0 - e["s2"]))
 
 
-#: lemma id -> (ratio of (u, gamma, d), exponents of (gamma, d)).  The
-#: ratios are looked up by name on every call, so a wrapper bound to the
-#: module attribute (a profiler, a test's monkeypatch) sees each one.
+def _gn(s, e):
+    """Gagliardo-Nirenberg: ||u||_inf against ||u||_H2^0.5 * ||u||_L2^0.5."""
+    return s["linf"], s["h2"] ** e["h2"] * s["l2"] ** e["l2"]
+
+
+#: lemma id -> (the sums it reads, its (numerator, denominator) formula of
+#: (sums over the corpus, exponents), its exponents of (gamma, d))
 _LEMMAS = {
-    "lemma53": (lambda u, gamma, d: lemma53_ratio(u, gamma, d), lemma53_exponents),
-    "lemma54": (lambda u, gamma, d: lemma54_ratio(u, gamma, d), lemma54_exponents),
-    "gn": (lambda u, gamma, d: gn_ratio(u), lambda gamma, d: {"h2": 0.5, "l2": 0.5}),
+    "lemma53": (("lhs", "big_x", "small_x", "big_y", "small_y"), _lemma53, lemma53_exponents),
+    "lemma54": (("lhs", "big_x", "big_y", "grad_g"), _lemma54, lemma54_exponents),
+    "gn": (("linf", "h2", "l2"), _gn, _gn_exponents),
 }
 
 
 def corpus_report(
     fields: list[PhysicalField], lemma: str, gamma: int, d: DissipationSpec
 ) -> RatioReport:
-    """Evaluate one inequality over a corpus; deterministic reduction order."""
+    """Evaluate one inequality over a corpus; deterministic reduction order.
+
+    The weights of the sums the lemma reads are built once from d.grid;
+    each field is transformed once.  A sample whose denominator is exactly
+    0 is degenerate, and a corpus of only such samples, or none, raises.
+    """
     if lemma not in _LEMMAS:
         raise ValueError(f"unknown lemma id {lemma!r}")
-    func, exponents = _LEMMAS[lemma]
-    ratios = []
-    degenerate = 0
-    for u in fields:
-        try:
-            ratios.append(func(u, gamma, d))
-        except DegenerateSampleError:
-            degenerate += 1
-    if not ratios:
-        raise ValueError("all corpus samples were degenerate")
-    return RatioReport(
-        lemma=lemma,
-        count=len(fields),
-        degenerate_count=degenerate,
-        max=float(np.max(ratios)),
-        mean=float(np.mean(ratios)),
-        min=float(np.min(ratios)),
-        exponents=exponents(gamma, d),
-    )
+    if int(gamma) != gamma or gamma < 1:
+        raise ValueError(f"gamma must be an integer >= 1, got {gamma}")
+    names, formula, exponents = _LEMMAS[lemma]
+    weights = {name: _sum_weight(name, gamma, d) for name in names}
+    sums = {name: np.empty(len(fields)) for name in names}
+    for i, u in enumerate(fields):
+        if u.grid != d.grid:
+            raise ValueError(f"field on {u.grid}, but the dissipation is on {d.grid}")
+        v = forward_transform(u)
+        for name, w in weights.items():
+            sums[name][i] = lp_norm(u, np.inf) if w is None else _parseval_weighted(v, w)
+    e = exponents(gamma, d)
+    num, den = formula(sums, e)
+    live = den != 0.0
+    if not live.any():
+        raise DegenerateSampleError("all corpus samples were degenerate")
+    ratios = num[live] / den[live]
+    return RatioReport(lemma=lemma, count=len(fields), degenerate_count=len(fields) - ratios.size,
+                       max=float(ratios.max()), mean=float(ratios.mean()),
+                       min=float(ratios.min()), exponents=e)
 
 
 @dataclass(frozen=True)
@@ -246,8 +242,6 @@ def fourier_bound_report(
     """
     if not run:
         raise ValueError("empty run")
-    from .spectral import inverse_transform
-
     times = np.array([t for t, _ in run])
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("snapshot times must be strictly increasing")

@@ -69,6 +69,8 @@ def initial_state(cfg: RunConfig) -> SimState:
 
 
 def sample_times(t_end: float, sample_every: float) -> list[float]:
+    if not (sample_every > 0.0 and np.isfinite(sample_every)):
+        raise ValueError(f"sample_every must be positive and finite, got {sample_every}")
     times = []
     k = 1
     while k * sample_every <= t_end * (1.0 + 1e-12):

@@ -177,6 +177,12 @@ class TestRunSimulation:
         got = sample_times(1.0, 0.3)
         assert got[-1] == 1.0 and len(got) == 4
 
+    @pytest.mark.parametrize("every", [0.0, -0.25, math.nan, math.inf])
+    def test_sample_times_reject_bad_spacing(self, every):
+        # with a nonpositive spacing the sampling loop would never end
+        with pytest.raises(ValueError, match="sample_every must be positive and finite"):
+            sample_times(1.0, every)
+
     def test_blowup_flushes_partial_series(self, tmp_path, monkeypatch):
         from anisoflow import BlowUpError
         import anisoflow.run as run_mod
@@ -388,6 +394,17 @@ class TestCli:
             "error: need at least 8 samples in window [1.0, 3.0], found 5")
         assert proc.stdout == ""  # the run report never started
 
+    def test_inequality_experiment_smoke(self):
+        argv = ["--count", "4", "--nx", "16", "--nx-fine", "32", "--seeds", "1"]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "inequality_experiment.py"),
+                               *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"nx={nx} seed=1 {lemma}" for nx in (16, 32) for lemma in ("lemma53", "lemma54", "gn")]
+        assert all(line.endswith(" degenerate=0") for line in lines)
+
     def test_analyze_rejects_missing_hgamma_column(self, tmp_path, capsys):
         from anisoflow import NormSample
 
@@ -456,3 +473,17 @@ class TestCli:
     def test_missing_config_reports_error(self, capsys):
         assert cli_main(["simulate", "/nonexistent.cfg"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestPackage:
+    def test_star_import_exports_no_submodule(self):
+        import types
+
+        import anisoflow
+
+        assert anisoflow.__all__
+        assert not [n for n in anisoflow.__all__
+                    if isinstance(getattr(anisoflow, n), types.ModuleType)]
+        namespace = {}
+        exec("import io\nfrom anisoflow import *", namespace)
+        assert namespace["io"].__name__ == "io"

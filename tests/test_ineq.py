@@ -13,10 +13,7 @@ from anisoflow import (
     forward_transform,
     fourier_bound_report,
     generate_corpus,
-    gn_ratio,
     hgamma_seminorm,
-    lemma53_ratio,
-    lemma54_ratio,
 )
 
 from conftest import TWO_PI, cosine_field, random_field
@@ -77,19 +74,71 @@ class TestCorpusGeneration:
                 assert ratio == pytest.approx(5.0 ** gamma, rel=1e-12)
 
 
+def ratio(u, lemma, gamma, d):
+    """The lemma's ratio for the single field u, through corpus_report."""
+    rep = corpus_report([u], lemma, gamma, d)
+    assert rep.count == 1 and rep.degenerate_count == 0
+    assert rep.max == rep.mean == rep.min
+    return rep.max
+
+
+def reference_ratios(u, gamma, d):
+    """All three ratios of u from explicit sums over the full fft2 lattice."""
+    g = u.grid
+    c = np.fft.fft2(u.values) * g.dx * g.dy
+    ax = np.abs(2.0 * np.pi * np.fft.fftfreq(g.nx, g.lx / g.nx))[:, None]
+    ay = np.abs(2.0 * np.pi * np.fft.fftfreq(g.ny, g.ly / g.ny))[None, :]
+    xi2 = ax ** 2 + ay ** 2
+
+    def norm(weight):
+        return np.sqrt(np.sum(weight * np.abs(c) ** 2) / (g.lx * g.ly))
+
+    a1, a2 = d.alpha1, d.alpha2
+    lhs = norm(xi2 ** gamma * ax ** (2.0 - a1))
+    big_x, small_x = norm(xi2 ** gamma * ax ** a1), norm(ax ** a1)
+    big_y, small_y = norm(xi2 ** gamma * ay ** a2), norm(ay ** a2)
+    grad_g = norm(xi2 ** gamma)
+    t1, t2 = (gamma + 1.0 - a1) / gamma, (2.0 * gamma + 2.0 - a1 - a2) / (2.0 * gamma)
+    s1, s2 = (2.0 - a1) / a1, (2.0 - a1) / a2
+    return {
+        "lemma53": lhs / (big_x ** t1 * small_x ** (1 - t1) + big_y ** t2 * small_y ** (1 - t2)),
+        "lemma54": lhs / (big_x ** s1 * grad_g ** (1 - s1) + big_y ** s2 * grad_g ** (1 - s2)),
+        "gn": np.max(np.abs(u.values)) / np.sqrt(norm(xi2 ** 2) * norm(1.0)),
+    }
+
+
+class TestRatioReference:
+    @pytest.mark.parametrize("gamma", [1, 2])
+    @pytest.mark.parametrize("alphas", [(1.5, 2.0), (1.2, 1.8)])
+    def test_corpus_matches_full_lattice_sums(self, gamma, alphas):
+        # nx != ny and lx != ly; the unbanded fields carry both Nyquist lines
+        grid = GridSpec(24, 16, 3.0, 7.5)
+        d = DissipationSpec(grid, *alphas)
+        fields = [random_field(grid, seed, band_denom) for seed, band_denom
+                  in ((1, None), (2, None), (3, 3), (4, 3))]
+        refs = [reference_ratios(u, gamma, d) for u in fields]
+        for lemma in ("lemma53", "lemma54", "gn"):
+            expected = np.array([r[lemma] for r in refs])
+            rep = corpus_report(fields, lemma, gamma, d)
+            assert rep.count == 4 and rep.degenerate_count == 0
+            assert rep.max == pytest.approx(expected.max(), rel=1e-12)
+            assert rep.mean == pytest.approx(expected.mean(), rel=1e-12)
+            assert rep.min == pytest.approx(expected.min(), rel=1e-12)
+
+
 class TestRatioClosedForms:
     def test_lemma53_single_x_mode_is_one(self, grid32):
         u = cosine_field(grid32, 1, 0)
         d = DissipationSpec(grid32, 2.0, 2.0)
-        assert lemma53_ratio(u, 1, d) == pytest.approx(1.0, rel=1e-12)
+        assert ratio(u, "lemma53", 1, d) == pytest.approx(1.0, rel=1e-12)
 
     def test_lemma54_endpoint_x_only(self, grid32):
         # alpha1=2: s1=0, both RHS terms collapse to ||grad^g u||
         u = cosine_field(grid32, 2, 0)
         d = DissipationSpec(grid32, 2.0, 2.0)
-        ratio = lemma54_ratio(u, 1, d)
-        assert ratio <= 1.0 + 1e-12
-        assert ratio == pytest.approx(0.5, rel=1e-12)
+        r = ratio(u, "lemma54", 1, d)
+        assert r <= 1.0 + 1e-12
+        assert r == pytest.approx(0.5, rel=1e-12)
 
     def test_gn_two_mode_closed_form(self, grid32):
         u = PhysicalField(
@@ -97,50 +146,53 @@ class TestRatioClosedForms:
         )
         # ||u||_inf = 1, ||u||_L2 = pi, ||u||_H2 = 2*pi on the 2pi box
         expected = 1.0 / (np.sqrt(2.0 * np.pi) * np.sqrt(np.pi))
-        assert gn_ratio(u) == pytest.approx(expected, rel=1e-12)
+        d = DissipationSpec(grid32, 1.5, 2.0)
+        assert ratio(u, "gn", 1, d) == pytest.approx(expected, rel=1e-12)
 
     def test_gamma_validated(self, grid32):
+        # gn reads no gamma, but a bad one is still rejected
         d = DissipationSpec(grid32, 1.5, 2.0)
-        with pytest.raises(ValueError):
-            lemma53_ratio(cosine_field(grid32, 1, 0), 0, d)
+        for lemma in ("lemma53", "lemma54", "gn"):
+            for gamma in (0, 1.5):
+                with pytest.raises(ValueError, match="gamma must be an integer"):
+                    corpus_report([cosine_field(grid32, 1, 0)], lemma, gamma, d)
 
 
 class TestRatioInvariances:
-    @pytest.mark.parametrize("ratio_name", ["lemma53", "lemma54", "gn"])
-    def test_amplitude_scaling(self, grid32, ratio_name):
+    @pytest.mark.parametrize("lemma", ["lemma53", "lemma54", "gn"])
+    def test_amplitude_scaling(self, grid32, lemma):
         d = DissipationSpec(grid32, 1.5, 2.0)
-        funcs = {
-            "lemma53": lambda u: lemma53_ratio(u, 2, d),
-            "lemma54": lambda u: lemma54_ratio(u, 2, d),
-            "gn": gn_ratio,
-        }
         for seed in range(3):
             u = random_field(grid32, seed, band_denom=3)
-            base = funcs[ratio_name](u)
+            base = ratio(u, lemma, 2, d)
             for lam in (5.0, -0.03):
-                scaled = funcs[ratio_name](PhysicalField(grid32, lam * u.values))
+                scaled = ratio(PhysicalField(grid32, lam * u.values), lemma, 2, d)
                 assert scaled == pytest.approx(base, rel=1e-12)
 
-    @pytest.mark.parametrize("ratio_name", ["lemma53", "lemma54", "gn"])
-    def test_translation(self, grid32, ratio_name):
+    @pytest.mark.parametrize("lemma", ["lemma53", "lemma54", "gn"])
+    def test_translation(self, grid32, lemma):
         d = DissipationSpec(grid32, 1.2, 1.8)
-        funcs = {
-            "lemma53": lambda u: lemma53_ratio(u, 1, d),
-            "lemma54": lambda u: lemma54_ratio(u, 1, d),
-            "gn": gn_ratio,
-        }
         u = random_field(grid32, 9, band_denom=3)
-        base = funcs[ratio_name](u)
+        base = ratio(u, lemma, 1, d)
         shifted = PhysicalField(grid32, np.roll(u.values, (7, -3), axis=(0, 1)))
-        assert funcs[ratio_name](shifted) == pytest.approx(base, rel=1e-10)
+        assert ratio(shifted, lemma, 1, d) == pytest.approx(base, rel=1e-10)
 
     def test_degenerate_zero_field(self, grid32):
-        u = PhysicalField(grid32, np.zeros((32, 32)))
+        zero = PhysicalField(grid32, np.zeros((32, 32)))
+        u = random_field(grid32, 5, band_denom=3)
         d = DissipationSpec(grid32, 1.5, 2.0)
-        with pytest.raises(DegenerateSampleError):
-            lemma53_ratio(u, 1, d)
-        with pytest.raises(DegenerateSampleError):
-            gn_ratio(u)
+        for lemma in ("lemma53", "lemma54", "gn"):
+            rep = corpus_report([zero, u], lemma, 1, d)
+            assert rep.count == 2 and rep.degenerate_count == 1
+            assert rep.max == rep.min == ratio(u, lemma, 1, d)
+
+    @pytest.mark.parametrize("lemma", ["lemma53", "lemma54", "gn"])
+    def test_all_degenerate_corpus_rejected(self, grid32, lemma):
+        zero = PhysicalField(grid32, np.zeros((32, 32)))
+        d = DissipationSpec(grid32, 1.5, 2.0)
+        for fields in ([zero, zero], []):
+            with pytest.raises(DegenerateSampleError):
+                corpus_report(fields, lemma, 1, d)
 
 
 class TestCorpusReport:
@@ -170,6 +222,13 @@ class TestCorpusReport:
         d = DissipationSpec(spec.grid, 1.5, 2.0)
         with pytest.raises(ValueError):
             corpus_report(generate_corpus(spec), "lemma99", 1, d)
+
+    def test_field_on_another_grid_rejected(self):
+        spec = small_spec(count=2)
+        d = DissipationSpec(GridSpec(32, 32, TWO_PI, 2.0 * TWO_PI), 1.5, 2.0)
+        for lemma in ("lemma53", "lemma54", "gn"):
+            with pytest.raises(ValueError, match="dissipation is on"):
+                corpus_report(generate_corpus(spec), lemma, 1, d)
 
 
 def _run_snapshots(nx, t_end, nonlinear, amplitude=1.0):
