@@ -48,7 +48,6 @@ from .operators import DissipationSpec, FluxSpec
 from .run import (
     advance_to,
     initial_state,
-    linear_twin_series,
     run_simulation,
     sample_times,
     synthesize_ic,

@@ -35,7 +35,7 @@ def write_timeseries(series: list[NormSample], path: str, gammas) -> None:
 
 
 def read_timeseries(path: str) -> list[NormSample]:
-    """Read a written CSV back; split seminorm maps are not serialized."""
+    """Read a written CSV back; the samples carry no ledger (ledger=None)."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         cols = header.split(",")

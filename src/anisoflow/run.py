@@ -13,7 +13,7 @@ from .io import checkpoint_write, write_timeseries
 from .norms import NormSample, record
 from .operators import DissipationSpec, FluxSpec
 from .spectral import GridSpec, PhysicalField, band_mask, forward_transform, inverse_transform
-from .timestepper import SimState, cfl_dt, linear_exact, step_ifrk4
+from .timestepper import SimState, cfl_dt, step_ifrk4
 
 _SNAP_TOL = 1e-9
 
@@ -81,30 +81,22 @@ def sample_times(t_end: float, sample_every: float) -> list[float]:
     return times
 
 
-def linear_twin_series(cfg: RunConfig) -> list[NormSample]:
-    """Sample the exact multiplier semigroup of the configured initial data
-    at t = 0 and at every sample time of run_simulation."""
-    state = initial_state(cfg)
-    cutoff = CutoffSpec(cfg.resolved_mu())
-    gammas = list(cfg.gammas)
-    return [
-        record(SimState(t, linear_exact(state.u_hat, state.dissipation, t),
-                        state.dissipation, None), cutoff, gammas)
-        for t in [0.0] + sample_times(cfg.t_end, cfg.sample_every)
-    ]
-
-
 def advance_to(state: SimState, target: float, cfl_safety: float) -> SimState:
-    """Step until t reaches target, recomputing the CFL limit every step.
+    """Step until t reaches target.
 
-    The last step is shortened to land on the target, and t is snapped to
-    it exactly so sample times stay clean across resumes.
+    With the flux on, each step is limited by the CFL bound of the current
+    field and the last one is shortened to land on the target.  Without it
+    step_ifrk4 is exact for any dt, so the target is reached in one step.
+    t is snapped to the target exactly so sample times stay clean across
+    resumes.
     """
     if target < state.t - _SNAP_TOL:
         raise ValueError(f"target {target} precedes current time {state.t}")
     while state.t < target - _SNAP_TOL:
-        u = inverse_transform(state.u_hat)
-        dt = min(cfl_dt(u, state.grid, cfl_safety), target - state.t)
+        dt = target - state.t
+        if state.flux is not None:
+            u = inverse_transform(state.u_hat)
+            dt = min(cfl_dt(u, state.grid, cfl_safety, state.flux.kappa), dt)
         state = step_ifrk4(state, dt)
     return replace(state, t=target)
 

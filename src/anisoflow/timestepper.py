@@ -193,14 +193,16 @@ def _ledger_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p0, p1, p2
 
 
-def cfl_dt(u: PhysicalField, g: GridSpec, safety: float) -> float:
-    """Advective step limit: safety * min(dx, dy) / max(|u|, floor).
+def cfl_dt(u: PhysicalField, g: GridSpec, safety: float, kappa: int = 1) -> float:
+    """Advective step limit: safety * min(dx, dy) / max(max|u|^kappa, floor).
 
-    The linear part is integrated exactly and imposes no constraint.
+    |u|^kappa bounds the wave speed f'(u) = u^kappa of the flux
+    u^(1+kappa)/(1+kappa).  The linear part is integrated exactly and
+    imposes no constraint.
     """
     if not (0.0 < safety <= 1.0):
         raise ValueError(f"safety must lie in (0, 1], got {safety}")
     if not np.all(np.isfinite(u.values)):
         raise ValueError("CFL estimate on nonfinite field")
-    amp = max(float(np.max(np.abs(u.values))), CFL_AMPLITUDE_FLOOR)
+    amp = max(float(np.max(np.abs(u.values))) ** kappa, CFL_AMPLITUDE_FLOOR)
     return safety * min(g.dx, g.dy) / amp

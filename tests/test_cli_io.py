@@ -394,6 +394,23 @@ class TestCli:
             "error: need at least 8 samples in window [1.0, 3.0], found 5")
         assert proc.stdout == ""  # the run report never started
 
+    def test_decay_experiment_smoke(self, tmp_path):
+        csv = tmp_path / "series.csv"
+        argv = ["--nx", "32", "--box", "8", "--t-end", "4", "--sample-every", "0.25",
+                "--window", "1,4", "--csv", str(csv)]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "decay_experiment.py"), *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert sum(line.startswith("l2 linear twin:") for line in proc.stdout.splitlines()) == 1
+        # the CSV is the nonlinear run's, not the linear twin's
+        ref = tmp_path / "ref.csv"
+        run_simulation(RunConfig(
+            nx=32, ny=32, lx=8 * math.pi, ly=8 * math.pi, t_end=4.0, sample_every=0.25,
+            ic=GaussianIC(5.0, 2.5), timeseries_path=str(ref),
+        ))
+        assert csv.read_bytes() == ref.read_bytes()
+
     def test_inequality_experiment_smoke(self):
         argv = ["--count", "4", "--nx", "16", "--nx-fine", "32", "--seeds", "1"]
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -7,6 +7,7 @@ from anisoflow import (
     BlowUpError,
     DissipationSpec,
     FluxSpec,
+    GaussianIC,
     PhysicalField,
     RandomBlobIC,
     RunConfig,
@@ -280,12 +281,71 @@ class TestCfl:
         u = PhysicalField(g, np.ones((10, 10)))
         assert cfl_dt(u, g, 1.0) == pytest.approx(0.1)
 
+    def test_speed_is_u_to_the_kappa(self):
+        # f(u) = u^3/3 moves at f'(u) = u^2; the three-argument call is kappa=1
+        g = make_grid(8, 8, 4.0, 2.0)  # min(dx, dy) = 0.25
+        u = PhysicalField(g, np.full((8, 8), -3.0))
+        assert cfl_dt(u, g, 0.5, 2) == pytest.approx(0.5 * 0.25 / 9.0)
+        assert cfl_dt(u, g, 0.5) == cfl_dt(u, g, 0.5, 1) == pytest.approx(0.5 * 0.25 / 3.0)
+
     def test_rejects_bad_safety(self):
         g = make_grid(8, 8, 1.0, 1.0)
         u = PhysicalField(g, np.ones((8, 8)))
         for safety in (0.0, 1.5, -0.1):
             with pytest.raises(ValueError):
                 cfl_dt(u, g, safety)
+
+
+class TestAdvanceTo:
+    def test_kappa2_converges_in_cfl_safety(self):
+        # with the speed taken as |u| instead of |u|^2 the two runs
+        # differed by 4.9e-4 relative; with |u|^2, by 2.0e-6
+        cfg = RunConfig(
+            nx=64, ny=64, lx=12.5 * np.pi, ly=12.5 * np.pi, alpha1=2.0, alpha2=2.0,
+            kappa=2, t_end=1.0, sample_every=0.5, ic=GaussianIC(5.0, 2.5),
+            nonlinearity_enabled=True, timeseries_path="", checkpoint_path="",
+        )
+        coarse = run_simulation(replace(cfg, cfl_safety=0.5))[0][-1].l2
+        fine = run_simulation(replace(cfg, cfl_safety=0.25))[0][-1].l2
+        assert abs(coarse - fine) / fine <= 2e-5, (coarse, fine)
+
+    @pytest.fixture
+    def linear_cfg(self):
+        return RunConfig(
+            nx=32, ny=32, lx=TWO_PI, ly=TWO_PI, alpha1=1.5, alpha2=2.0,
+            t_end=2.0, sample_every=0.25, ic=RandomBlobIC(3, 1.0, 0.5),
+            nonlinearity_enabled=False, timeseries_path="", checkpoint_path="",
+        )
+
+    @pytest.fixture
+    def counted_steps(self, monkeypatch):
+        import anisoflow.run as run_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("flux-free stepping needs no CFL limit")
+
+        steps = []
+
+        def counting_step(state, dt):
+            steps.append(dt)
+            return step_ifrk4(state, dt)
+
+        monkeypatch.setattr(run_mod, "cfl_dt", forbidden)
+        monkeypatch.setattr(run_mod, "inverse_transform", forbidden)
+        monkeypatch.setattr(run_mod, "step_ifrk4", counting_step)
+        return steps
+
+    def test_flux_free_reaches_target_in_one_step(self, linear_cfg, counted_steps):
+        s0 = initial_state(linear_cfg)
+        state = advance_to(s0, 1.75, linear_cfg.cfl_safety)
+        assert counted_steps == [1.75]
+        assert state.t == 1.75
+        exact = linear_exact(s0.u_hat, s0.dissipation, 1.75)
+        np.testing.assert_array_equal(state.u_hat.coeffs, exact.coeffs)
+
+    def test_linear_run_steps_once_per_sample(self, linear_cfg, counted_steps):
+        run_simulation(linear_cfg)
+        assert len(counted_steps) == len(sample_times(linear_cfg.t_end, linear_cfg.sample_every))
 
 
 class TestSimState:
