@@ -7,7 +7,7 @@ import math
 import re
 import sys
 
-from .config import load_config, parse_flat_file
+from .config import load_config, parse_keys
 from .decay import energy_audit, fit_power_law, max_principle_audit, theoretical_exponent
 from .errors import ConfigError
 from .ineq import FieldCorpusSpec, SpectrumLaw, corpus_report, generate_corpus
@@ -82,22 +82,30 @@ def _cmd_analyze(args) -> int:
 
 _LAW_RE = re.compile(r"^(\w+)\s*(?:\((.*)\))?$")
 
+#: spectrum law -> (the argument counts it takes, its usage)
+_LAW_ARITY = {
+    "flat": ((0,), "flat"),
+    "powerlaw": ((0, 1), "powerlaw[(decay)]"),
+    "ring": ((1, 2), "ring(k0[, width])"),
+}
+
 
 def parse_spectrum_law(raw: str) -> SpectrumLaw:
     m = _LAW_RE.match(raw.strip())
     if not m:
         raise ValueError(f"malformed spectrum law {raw!r}")
     name = m.group(1).lower()
+    if name not in _LAW_ARITY:
+        raise ValueError(f"unknown spectrum law {name!r}")
     args = [float(a) for a in m.group(2).split(",")] if m.group(2) else []
+    counts, usage = _LAW_ARITY[name]
+    if len(args) not in counts:
+        raise ValueError(f"expected {usage}, got {raw!r}")
     if name == "flat":
         return SpectrumLaw("flat")
     if name == "powerlaw":
         return SpectrumLaw("powerlaw", decay=args[0] if args else 1.0)
-    if name == "ring":
-        if len(args) not in (1, 2):
-            raise ValueError("ring takes (k0[, width])")
-        return SpectrumLaw("ring", k0=args[0], width=args[1] if len(args) == 2 else 1.0)
-    raise ValueError(f"unknown spectrum law {name!r}")
+    return SpectrumLaw("ring", k0=args[0], width=args[1] if len(args) == 2 else 1.0)
 
 
 _LAB_PARSERS = {
@@ -130,17 +138,7 @@ _LAB_DEFAULTS = {
 
 
 def load_lab_config(path: str) -> dict:
-    raw = parse_flat_file(path)
-    unknown = sorted(set(raw) - set(_LAB_PARSERS))
-    if unknown:
-        raise ConfigError(f"unknown ineq-lab key(s): {', '.join(unknown)}")
-    out = dict(_LAB_DEFAULTS)
-    for key, value in raw.items():
-        try:
-            out[key] = _LAB_PARSERS[key](value)
-        except ValueError as exc:
-            raise ConfigError(f"ineq-lab key {key!r}: {exc}") from None
-    return out
+    return {**_LAB_DEFAULTS, **parse_keys(path, _LAB_PARSERS, "ineq-lab")}
 
 
 def _cmd_ineq_lab(args) -> int:

@@ -150,6 +150,22 @@ def parse_flat_file(path: str) -> dict[str, str]:
     return raw
 
 
+def parse_keys(path: str, parsers: dict, what: str) -> dict:
+    """Parse each key of a flat file with its parser; unknown keys and bad
+    values raise ConfigError naming the key.  Absent keys are left out."""
+    raw = parse_flat_file(path)
+    unknown = sorted(set(raw) - set(parsers))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+    out = {}
+    for key, value in raw.items():
+        try:
+            out[key] = parsers[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{what} key {key!r}: {exc}") from None
+    return out
+
+
 def validate_config(cfg: RunConfig) -> None:
     """Domain checks; violations name the offending key."""
     def fail(key, msg):
@@ -193,16 +209,6 @@ def validate_config(cfg: RunConfig) -> None:
 
 def load_config(path: str) -> RunConfig:
     """Parse and validate a run configuration; missing keys take defaults."""
-    raw = parse_flat_file(path)
-    unknown = sorted(set(raw) - set(_PARSERS))
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        try:
-            kwargs[key] = _PARSERS[key](value)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from None
-    cfg = replace(RunConfig(), **kwargs)
+    cfg = replace(RunConfig(), **parse_keys(path, _PARSERS, "config"))
     validate_config(cfg)
     return cfg

@@ -15,14 +15,7 @@ import numpy as np
 
 from .norms import _parseval_weighted, lp_norm
 from .operators import DissipationSpec
-from .spectral import (
-    GridSpec,
-    PhysicalField,
-    SpectralField,
-    forward_transform,
-    fourier_weight,
-    inverse_transform,
-)
+from .spectral import GridSpec, PhysicalField, forward_transform, fourier_weight
 
 
 class DegenerateSampleError(ValueError):
@@ -124,14 +117,14 @@ def generate_corpus(spec: FieldCorpusSpec) -> list[PhysicalField]:
     return fields
 
 
-def lemma53_exponents(gamma: int, d: DissipationSpec) -> dict[str, float]:
+def _lemma53_exponents(gamma: int, d: DissipationSpec) -> dict[str, float]:
     return {
         "theta1": (gamma + 1.0 - d.alpha1) / gamma,
         "theta2": (2.0 * gamma + 2.0 - d.alpha1 - d.alpha2) / (2.0 * gamma),
     }
 
 
-def lemma54_exponents(gamma: int, d: DissipationSpec) -> dict[str, float]:
+def _lemma54_exponents(gamma: int, d: DissipationSpec) -> dict[str, float]:
     return {
         "s1": (2.0 - d.alpha1) / d.alpha1,
         "s2": (2.0 - d.alpha1) / d.alpha2,
@@ -180,8 +173,8 @@ def _gn(s, e):
 #: lemma id -> (the sums it reads, its (numerator, denominator) formula of
 #: (sums over the corpus, exponents), its exponents of (gamma, d))
 _LEMMAS = {
-    "lemma53": (("lhs", "big_x", "small_x", "big_y", "small_y"), _lemma53, lemma53_exponents),
-    "lemma54": (("lhs", "big_x", "big_y", "grad_g"), _lemma54, lemma54_exponents),
+    "lemma53": (("lhs", "big_x", "small_x", "big_y", "small_y"), _lemma53, _lemma53_exponents),
+    "lemma54": (("lhs", "big_x", "big_y", "grad_g"), _lemma54, _lemma54_exponents),
     "gn": (("linf", "h2", "l2"), _gn, _gn_exponents),
 }
 
@@ -217,75 +210,3 @@ def corpus_report(
     return RatioReport(lemma=lemma, count=len(fields), degenerate_count=len(fields) - ratios.size,
                        max=float(ratios.max()), mean=float(ratios.mean()),
                        min=float(ratios.min()), exponents=e)
-
-
-@dataclass(frozen=True)
-class FourierBoundReport:
-    """Empirical constant in the pointwise spectral growth bound."""
-
-    sup_constant: float
-    probe: tuple[int, int]
-    time: float
-    max_pointwise_excess: float
-
-
-def fourier_bound_report(
-    run: list[tuple[float, SpectralField]], probes: list[tuple[int, int]]
-) -> FourierBoundReport:
-    """Track |u_hat(t, xi)|^2 - ||u0||_L1^2 against the Duhamel integral.
-
-    For each probe mode xi the implied constant is
-    max(0, |u_hat|^2 - ||u0||_L1^2) / (|xi| * int_0^t ||u||_L2^2 ||u||_L1).
-    Also reports the worst excess of |u_hat| over ||u||_L1, which the
-    transform convention keeps <= 0 up to roundoff.  A probe (j, k) with
-    k < 0 reads the stored mode (-j, -k) and is reported as that mode.
-    """
-    if not run:
-        raise ValueError("empty run")
-    times = np.array([t for t, _ in run])
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("snapshot times must be strictly increasing")
-    grid = run[0][1].grid
-    l1 = np.empty(len(run))
-    l2 = np.empty(len(run))
-    for i, (_, v) in enumerate(run):
-        u = inverse_transform(v)
-        l1[i] = lp_norm(u, 1)
-        l2[i] = lp_norm(u, 2)
-    integrand = l2 ** 2 * l1
-    cumulative = np.concatenate(
-        ([0.0], np.cumsum(0.5 * np.diff(times) * (integrand[1:] + integrand[:-1])))
-    )
-    l1_0_sq = l1[0] ** 2
-
-    modes = []
-    for jk in probes:
-        j, k = int(jk[0]), int(jk[1])
-        if abs(j) > grid.nx // 2 or abs(k) > grid.ny // 2:
-            raise ValueError(f"probe {(j, k)} lies outside the lattice")
-        # the half lattice keeps -xi, with |u_hat(xi)| = |u_hat(-xi)|
-        modes.append((-j, -k) if k < 0 else (j, k))
-
-    sup_c = 0.0
-    arg_probe = modes[0]
-    arg_time = times[0]
-    excess = -np.inf
-    for j, k in modes:
-        xi = np.hypot(2.0 * np.pi * j / grid.lx, 2.0 * np.pi * k / grid.ly)
-        if xi == 0.0:
-            raise ValueError("probes must be nonzero modes")
-        for i, (t, v) in enumerate(run):
-            mag = abs(v.coeffs[j % grid.nx, k])
-            excess = max(excess, mag - l1[i])
-            if cumulative[i] > 0.0:
-                c_star = max(0.0, mag ** 2 - l1_0_sq) / (xi * cumulative[i])
-                if c_star > sup_c:
-                    sup_c = c_star
-                    arg_probe = (j, k)
-                    arg_time = t
-    return FourierBoundReport(
-        sup_constant=float(sup_c),
-        probe=arg_probe,
-        time=float(arg_time),
-        max_pointwise_excess=float(excess),
-    )

@@ -65,7 +65,7 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec) -> np.n
     modes.  The zero mode vanishes identically: the flux is in divergence
     form.  Two transforms per call, which dominates the time-step cost.
     """
-    keep = band_mask(grid, flux.dealias_denom, strict=True)
+    keep = band_mask(grid, flux.dealias_denom)
     area = grid.cell_area()
     u_band = _fft.irfft2(np.where(keep, coeffs, 0.0), s=(grid.nx, grid.ny), workers=FFT_WORKERS) / area
     w = flux(u_band)

@@ -23,9 +23,12 @@ def synthesize_ic(cfg: RunConfig, grid: GridSpec) -> PhysicalField:
     ic = cfg.ic
     if isinstance(ic, GaussianIC):
         cx, cy = ic.center if ic.center is not None else (grid.lx / 2.0, grid.ly / 2.0)
-        x = grid.x[:, None]
-        y = grid.y[None, :]
-        r2 = (x - cx) ** 2 + (y - cy) ** 2
+        dx = grid.x[:, None] - cx
+        dy = grid.y[None, :] - cy
+        # minimum image: distances are taken across the periodic seam
+        dx -= grid.lx * np.round(dx / grid.lx)
+        dy -= grid.ly * np.round(dy / grid.ly)
+        r2 = dx ** 2 + dy ** 2
         values = ic.amplitude * np.exp(-r2 / ic.radius ** 2)
         return PhysicalField(grid, values)
     if isinstance(ic, SingleModeIC):
@@ -64,7 +67,7 @@ def initial_state(cfg: RunConfig) -> SimState:
     u_hat = forward_transform(synthesize_ic(cfg, grid))
     if flux is not None:
         # the transform returned a fresh array, so truncate it in place
-        u_hat.coeffs[~band_mask(grid, flux.dealias_denom, strict=True)] = 0.0
+        u_hat.coeffs[~band_mask(grid, flux.dealias_denom)] = 0.0
     return SimState(t=0.0, u_hat=u_hat, dissipation=dissipation, flux=flux)
 
 

@@ -186,24 +186,21 @@ def inverse_transform(v: SpectralField) -> PhysicalField:
 
 
 @lru_cache(maxsize=32)
-def _band_mask_cached(grid: GridSpec, denom: int, strict: bool) -> np.ndarray:
-    jx, jy = denom * np.abs(grid.jx), denom * np.abs(grid.jy)
-    if strict:
-        keep_x, keep_y = jx < grid.nx, jy < grid.ny
-    else:
-        keep_x, keep_y = jx <= grid.nx, jy <= grid.ny
+def _band_mask_cached(grid: GridSpec, denom: int) -> np.ndarray:
+    keep_x = denom * np.abs(grid.jx) < grid.nx
+    keep_y = denom * np.abs(grid.jy) < grid.ny
     return _readonly(keep_x[:, None] & keep_y[None, :])
 
 
-def band_mask(grid: GridSpec, denom: int, strict: bool = False) -> np.ndarray:
-    """Half-lattice keep-mask for modes with |j_tilde| <= nx/denom and
-    k <= ny/denom.
+def band_mask(grid: GridSpec, denom: int) -> np.ndarray:
+    """Half-lattice keep-mask for modes with |j_tilde| < nx/denom and
+    k < ny/denom.
 
-    Integer arithmetic, so the band edge is exact.  With strict=True the
-    edge mode is dropped when denom divides the grid size, which keeps
-    degree-(denom-1) products alias-free on every grid.
+    Integer arithmetic, so the band edge is exact.  The edge mode is dropped
+    when denom divides the grid size, which keeps degree-(denom-1) products
+    alias-free on every grid.
     """
-    return _band_mask_cached(grid, int(denom), bool(strict))
+    return _band_mask_cached(grid, int(denom))
 
 
 def fourier_weight(grid: GridSpec, p: float, axis: str | None = None):

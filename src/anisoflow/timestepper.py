@@ -118,7 +118,7 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
         end = _folded_abs2(stage, fold)
         del stage
         new = e_full * c + (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4) / 6.0
-        new = np.where(band_mask(grid, s.flux.dealias_denom, strict=True), new, 0.0)
+        new = np.where(band_mask(grid, s.flux.dealias_denom), new, 0.0)
         p0, p1, p2 = _ledger_weights(2.0 * dt * m_kept)
         dissipated = p0 * _folded_abs2(c, fold) + p1 * (0.5 * mid) + p2 * end
     dissipated = float(np.dot(dissipated.sum(axis=0), mult)) / grid.area()
@@ -136,7 +136,7 @@ def _quadrant(d: DissipationSpec, denom: int):
     the quadrant, and each column's multiplicity, grid.column_weight.
     """
     g = d.grid
-    keep = band_mask(g, denom, strict=True)
+    keep = band_mask(g, denom)
     n_pos = int(np.count_nonzero(keep[: g.nx // 2, 0]))
     n_neg = int(np.count_nonzero(keep[g.nx // 2:, 0]))
     ncols = int(np.count_nonzero(keep[0]))

@@ -12,19 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisoflow import (
-    CheckpointError,
-    ConfigError,
     DissipationSpec,
     FluxSpec,
     GaussianIC,
     PhysicalField,
-    RandomBlobIC,
     RunConfig,
     SimState,
-    SingleModeIC,
-    advance_to,
+    SpectrumLaw,
     checkpoint_read,
-    checkpoint_write,
     energy_audit,
     forward_transform,
     inverse_transform,
@@ -34,10 +29,12 @@ from anisoflow import (
     read_timeseries,
     run_simulation,
     sample_times,
-    write_timeseries,
 )
-from anisoflow.cli import main as cli_main
-from anisoflow.config import parse_ic
+from anisoflow.cli import load_lab_config, main as cli_main
+from anisoflow.config import RandomBlobIC, SingleModeIC, parse_ic
+from anisoflow.errors import CheckpointError, ConfigError
+from anisoflow.io import checkpoint_write, write_timeseries
+from anisoflow.run import advance_to, synthesize_ic
 
 TWO_PI = 2.0 * np.pi
 ROOT = Path(__file__).resolve().parent.parent
@@ -172,6 +169,18 @@ class TestRunSimulation:
         en = energy_audit(series)
         assert en.max_relative_residual < 0.2
 
+    def test_gaussian_ic_is_periodic(self):
+        # distances wrap across the seam: the bump at the origin is the
+        # centred bump rolled by half the box
+        grid = make_grid(64, 64, 2.0 * np.pi, 2.0 * np.pi)
+
+        def bump(center):
+            cfg = RunConfig(nx=64, ny=64, lx=grid.lx, ly=grid.ly, ic=GaussianIC(1.0, 1.0, center))
+            return synthesize_ic(cfg, grid).values
+
+        rolled = np.roll(bump(None), (32, 32), axis=(0, 1))
+        assert np.max(np.abs(bump((0.0, 0.0)) - rolled)) <= 1e-14
+
     def test_sample_times_cover_t_end(self):
         assert sample_times(1.0, 0.25) == [0.25, 0.5, 0.75, 1.0]
         got = sample_times(1.0, 0.3)
@@ -184,7 +193,7 @@ class TestRunSimulation:
             sample_times(1.0, every)
 
     def test_blowup_flushes_partial_series(self, tmp_path, monkeypatch):
-        from anisoflow import BlowUpError
+        from anisoflow.errors import BlowUpError
         import anisoflow.run as run_mod
 
         calls = {"n": 0}
@@ -423,7 +432,7 @@ class TestCli:
         assert all(line.endswith(" degenerate=0") for line in lines)
 
     def test_analyze_rejects_missing_hgamma_column(self, tmp_path, capsys):
-        from anisoflow import NormSample
+        from anisoflow.norms import NormSample
 
         series = [NormSample(t=t, l1=1.0, l2=1.0, l4=1.0, linf=1.0, hgamma={1: 1.0},
                              diss_x=0.0, diss_y=0.0, ul_l2=0.0, uh_l2=0.0)
@@ -468,7 +477,7 @@ class TestCli:
         assert "energy identity" in out
 
     def test_audit_cli_fails_on_uptick(self, tmp_path, capsys):
-        from anisoflow import NormSample
+        from anisoflow.norms import NormSample
 
         def mk(t, v):
             return NormSample(t=t, l1=2 * v, l2=v, l4=v, linf=v, hgamma={1: v},
@@ -487,6 +496,23 @@ class TestCli:
         assert "lemma53" in out and "lemma54" in out and "gn" in out
         assert "degenerate=0" in out
 
+    @pytest.mark.parametrize("law", ["flat(3)", "powerlaw(1, 2)", "ring", "ring(4, 1, 2)"])
+    def test_spectrum_law_argument_count_checked(self, tmp_path, law):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(f"spectrum = {law}\n")
+        with pytest.raises(ConfigError, match="spectrum"):
+            load_lab_config(str(cfg))
+
+    def test_spectrum_law_forms(self, tmp_path):
+        cfg = tmp_path / "lab.cfg"
+        for law, expected in (("flat", SpectrumLaw("flat")),
+                              ("powerlaw", SpectrumLaw("powerlaw", decay=1.0)),
+                              ("powerlaw(2.5)", SpectrumLaw("powerlaw", decay=2.5)),
+                              ("ring(4)", SpectrumLaw("ring", k0=4.0, width=1.0)),
+                              ("ring(4, 0)", SpectrumLaw("ring", k0=4.0, width=0.0))):
+            cfg.write_text(f"spectrum = {law}\n")
+            assert load_lab_config(str(cfg))["spectrum"] == expected
+
     def test_missing_config_reports_error(self, capsys):
         assert cli_main(["simulate", "/nonexistent.cfg"]) == 1
         assert "error" in capsys.readouterr().err
@@ -504,3 +530,31 @@ class TestPackage:
         namespace = {}
         exec("import io\nfrom anisoflow import *", namespace)
         assert namespace["io"].__name__ == "io"
+
+    def test_all_is_what_callers_import(self):
+        # the scripts, the benchmark and the acceptance suite are the
+        # package's callers; their sources are parsed, not imported
+        import ast
+        import types
+
+        import anisoflow
+
+        callers = [*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py"),
+                   ROOT / "tests" / "test_acceptance.py"]
+        used = set()
+        for path in callers:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            # `import anisoflow.cli` binds anisoflow; `import anisoflow as af` binds af
+            aliases = {a.asname if a.asname and a.name == "anisoflow" else "anisoflow"
+                       for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names
+                       if a.name.split(".")[0] == "anisoflow"}
+            for n in ast.walk(tree):
+                if isinstance(n, ast.ImportFrom) and n.module == "anisoflow":
+                    used.update(a.name for a in n.names)
+                elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                      and n.value.id in aliases):
+                    used.add(n.attr)
+        used = {n for n in used if not n.startswith("__")
+                and not isinstance(getattr(anisoflow, n, None), types.ModuleType)}
+        assert len(anisoflow.__all__) == len(set(anisoflow.__all__))
+        assert set(anisoflow.__all__) == used

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisoflow import (
-    DecayFit,
-    NormSample,
     energy_audit,
     fit_power_law,
     max_principle_audit,
     theoretical_exponent,
 )
+from anisoflow.decay import DecayFit
+from anisoflow.norms import NormSample
 
 alphas_strategy = st.lists(
     st.floats(min_value=1.01, max_value=2.0), min_size=1, max_size=4

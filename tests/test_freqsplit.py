@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisoflow import (
-    CutoffSpec,
-    DissipationSpec,
-    chi0,
-    default_mu,
-    forward_transform,
-    hgamma_seminorm,
-    split,
-)
+from anisoflow import CutoffSpec, DissipationSpec, forward_transform
+from anisoflow.freqsplit import chi0, default_mu, split
+from anisoflow.norms import hgamma_seminorm
 from conftest import random_field, single_mode_spectrum
 
 
@@ -115,9 +109,9 @@ class TestSplit:
 
 @pytest.fixture(scope="module")
 def small_run():
-    from anisoflow import GaussianIC, RunConfig, lp_norm, run_simulation
+    from anisoflow import GaussianIC, GridSpec, RunConfig, run_simulation
+    from anisoflow.norms import lp_norm
     from anisoflow.run import synthesize_ic
-    from anisoflow.spectral import GridSpec
 
     a1, a2 = 1.5, 2.0
     # normalize the bump so ||u0||_L1 = 1

@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 
 from anisoflow import (
-    DegenerateSampleError,
     DissipationSpec,
     FieldCorpusSpec,
-    FluxSpec,
     GridSpec,
     PhysicalField,
     SpectrumLaw,
     corpus_report,
     forward_transform,
-    fourier_bound_report,
     generate_corpus,
-    hgamma_seminorm,
 )
+from anisoflow.ineq import DegenerateSampleError
+from anisoflow.norms import hgamma_seminorm
 
 from conftest import TWO_PI, cosine_field, random_field
 
@@ -230,60 +228,3 @@ class TestCorpusReport:
             with pytest.raises(ValueError, match="dissipation is on"):
                 corpus_report(generate_corpus(spec), lemma, 1, d)
 
-
-def _run_snapshots(nx, t_end, nonlinear, amplitude=1.0):
-    """Short simulation of a smooth bump on a 20*pi box; (t, u_hat) list."""
-    from anisoflow import SimState, advance_to, sample_times
-
-    grid = GridSpec(nx, nx, 20 * np.pi, 20 * np.pi)
-    d = DissipationSpec(grid, 1.5, 2.0)
-    x = grid.x[:, None] - grid.lx / 2.0
-    y = grid.y[None, :] - grid.ly / 2.0
-    u0 = PhysicalField(grid, amplitude * np.exp(-(x ** 2 + y ** 2) / 4.0 ** 2))
-    flux = FluxSpec(1) if nonlinear else None
-    state = SimState(0.0, forward_transform(u0), d, flux)
-    snaps = [(0.0, state.u_hat)]
-    for target in sample_times(t_end, 0.25):
-        state = advance_to(state, target, 0.5)
-        snaps.append((state.t, state.u_hat))
-    return snaps
-
-
-class TestFourierBound:
-    PROBES = [(1, 0), (0, 1), (1, 1), (3, 2), (5, 5)]
-
-    def test_linear_run_constant_zero(self):
-        snaps = _run_snapshots(64, 2.0, nonlinear=False)
-        rep = fourier_bound_report(snaps, self.PROBES)
-        assert rep.sup_constant == 0.0
-        assert rep.max_pointwise_excess <= 1e-10
-
-    def test_pointwise_bound_nonlinear(self):
-        snaps = _run_snapshots(64, 2.0, nonlinear=True)
-        rep = fourier_bound_report(snaps, self.PROBES)
-        assert rep.max_pointwise_excess <= 1e-10
-        assert np.isfinite(rep.sup_constant)
-
-    def test_refinement_stability(self):
-        # the pointwise bound |u_hat| <= ||u||_L1 <= ||u0||_L1 makes the
-        # clamped numerator vanish identically, so the sup is 0 at every
-        # resolution: finite and trivially stable under refinement
-        reps = {}
-        for nx in (256, 512):
-            snaps = _run_snapshots(nx, 2.0, nonlinear=True, amplitude=2.0)
-            reps[nx] = fourier_bound_report(snaps, self.PROBES)
-        a, b = reps[256].sup_constant, reps[512].sup_constant
-        assert np.isfinite(a) and np.isfinite(b)
-        assert abs(a - b) <= 0.2 * max(a, b) + 1e-30
-        assert a == 0.0 and b == 0.0
-
-    def test_negative_k_probe_reads_the_mirror_mode(self):
-        # the half lattice stores (-j, -k) for a probe (j, k) with k < 0;
-        # |u_hat(xi)| = |u_hat(-xi)| makes both probes one measurement
-        snaps = _run_snapshots(64, 1.0, nonlinear=True)
-        negative_k = fourier_bound_report(snaps, [(1, -1), (3, -2)])
-        positive_k = fourier_bound_report(snaps, [(-1, 1), (-3, 2)])
-        assert negative_k == positive_k
-        assert negative_k.probe == (-1, 1)
-        with pytest.raises(ValueError):
-            fourier_bound_report(snaps, [(0, 33)])

@@ -7,19 +7,21 @@ from anisoflow import (
     CutoffSpec,
     DissipationSpec,
     FluxSpec,
-    NormSample,
     PhysicalField,
     SimState,
-    SpectralField,
-    default_mu,
-    directional_seminorm,
     forward_transform,
-    hgamma_seminorm,
-    lp_norm,
     make_grid,
     record,
 )
-from anisoflow.norms import _parseval_weighted
+from anisoflow.freqsplit import default_mu
+from anisoflow.norms import (
+    NormSample,
+    _parseval_weighted,
+    directional_seminorm,
+    hgamma_seminorm,
+    lp_norm,
+)
+from anisoflow.spectral import SpectralField
 
 from conftest import cosine_field, random_field
 

@@ -4,16 +4,14 @@ import pytest
 from anisoflow import (
     DissipationSpec,
     FluxSpec,
-    NonFiniteStateError,
     PhysicalField,
-    SpectralField,
     forward_transform,
-    hgamma_seminorm,
     inverse_transform,
-    lp_norm,
 )
+from anisoflow.errors import NonFiniteStateError
+from anisoflow.norms import hgamma_seminorm, lp_norm
 from anisoflow.operators import nonlinear_coeffs
-from anisoflow.spectral import band_mask, fourier_weight
+from anisoflow.spectral import SpectralField, band_mask, fourier_weight
 
 from conftest import random_field, single_mode_spectrum
 

@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 from anisoflow import (
     GridSpec,
     PhysicalField,
-    SpectralField,
     forward_transform,
     inverse_transform,
-    lp_norm,
     make_grid,
 )
-
-from anisoflow.spectral import band_mask
+from anisoflow.norms import lp_norm
+from anisoflow.spectral import SpectralField, band_mask
 
 from conftest import TWO_PI, cosine_field, random_field, single_mode_spectrum, spectral_energy
 
@@ -92,6 +90,15 @@ class TestTransforms:
             v = forward_transform(u)
             assert spectral_energy(v) == pytest.approx(lp_norm(u, 2) ** 2, rel=1e-12)
 
+    def test_coefficients_bounded_by_l1_norm(self, grid32):
+        # the dx*dy quadrature weight gives |coeffs(xi)| <= ||u||_L1 on the
+        # lattice; a positive field attains it at xi = 0
+        for seed in range(10):
+            u = random_field(grid32, seed)
+            assert np.max(np.abs(forward_transform(u).coeffs)) <= lp_norm(u, 1) * (1.0 + 1e-12)
+        u = PhysicalField(grid32, np.exp(random_field(grid32, 0).values))
+        assert forward_transform(u).coeffs[0, 0].real == pytest.approx(lp_norm(u, 1), rel=1e-13)
+
     def test_linearity(self, grid16):
         u = random_field(grid16, 1)
         w = random_field(grid16, 2)
@@ -128,7 +135,7 @@ class TestTransforms:
 
 def truncate(v: SpectralField, denom: int = 3) -> np.ndarray:
     """Truncation to the alias-free band, as the flux and the stepper apply it."""
-    return np.where(band_mask(v.grid, denom, strict=True), v.coeffs, 0.0)
+    return np.where(band_mask(v.grid, denom), v.coeffs, 0.0)
 
 
 class TestDealias:
@@ -154,17 +161,16 @@ class TestDealias:
         once = truncate(v)
         twice = truncate(SpectralField(grid16, once))
         np.testing.assert_array_equal(once, twice)
-        # one cached, read-only mask per (grid, denom, strict)
-        assert band_mask(grid16, 3, strict=True) is band_mask(grid16, 3, strict=True)
-        assert not band_mask(grid16, 3, strict=True).flags.writeable
+        # one cached, read-only mask per (grid, denom)
+        assert band_mask(grid16, 3) is band_mask(grid16, 3)
+        assert not band_mask(grid16, 3).flags.writeable
 
     def test_strict_drops_the_edge_mode(self, grid16):
-        # denom 4 divides nx=16: |j| = 4 sits on the band edge
-        loose, strict = band_mask(grid16, 4), band_mask(grid16, 4, strict=True)
-        assert loose[4, 0] and loose[-4, 0] and loose[0, 4]
-        assert not (strict[4, 0] or strict[-4, 0] or strict[0, 4])
-        assert strict[3, 3] and strict[-3, 3]
-        assert strict.shape == (16, 9)
+        # denom 4 divides nx=16: |j| = 4 sits on the band edge and is dropped
+        keep = band_mask(grid16, 4)
+        assert not (keep[4, 0] or keep[-4, 0] or keep[0, 4])
+        assert keep[3, 3] and keep[-3, 3]
+        assert keep.shape == (16, 9)
 
 
 class TestFieldValidation:
