@@ -197,6 +197,8 @@ def validate_config(cfg: RunConfig) -> None:
             fail("ic", f"gaussian radius must be positive, got {ic.radius}")
         if not math.isfinite(ic.amplitude):
             fail("ic", "gaussian amplitude must be finite")
+        if ic.center is not None and not all(map(math.isfinite, ic.center)):
+            fail("ic", f"gaussian center must be finite, got {ic.center}")
     elif isinstance(ic, RandomBlobIC):
         if not (0.0 < ic.band <= 2.0 / 3.0):
             fail("ic", f"random_blob band must lie in (0, 2/3], got {ic.band}")

@@ -21,26 +21,19 @@ def chi0(s):
     The bridge is the standard partition-of-unity quotient
     phi(2-s) / (phi(2-s) + phi(s-1)) with phi(t) = exp(-1/t) for t > 0,
     so endpoint values are exact and all derivatives vanish there.
-    Accepts scalars or arrays; monotonically nonincreasing.
+    Accepts scalars or arrays; monotonically nonincreasing.  Only the
+    bridge 1 < s < 2 needs phi: both its arguments are positive there, and
+    the quotient is exactly 1 or 0 off it.
     """
     s_arr = np.asarray(s, dtype=np.float64)
     if np.any(s_arr < 0.0):
         raise ValueError("chi0 argument must be >= 0")
-
-    def phi(t):
-        out = np.zeros_like(t)
-        pos = t > 0.0
-        with np.errstate(divide="ignore", over="ignore"):
-            out[pos] = np.exp(-1.0 / t[pos])
-        return out
-
-    a = phi(2.0 - s_arr)
-    b = phi(s_arr - 1.0)
-    out = np.ones_like(s_arr)
-    mid = s_arr > 1.0
-    # b > 0 wherever mid is set, and a vanishes identically for s >= 2,
-    # so the quotient hits the endpoint values exactly.
-    out[mid] = a[mid] / (a[mid] + b[mid])
+    out = np.where(s_arr >= 2.0, 0.0, 1.0)
+    bridge = (s_arr > 1.0) & (s_arr < 2.0)
+    sb = s_arr[bridge]
+    a = np.exp(-1.0 / (2.0 - sb))
+    b = np.exp(-1.0 / (sb - 1.0))
+    out[bridge] = a / (a + b)
     if np.ndim(s) == 0:
         return float(out)
     return out

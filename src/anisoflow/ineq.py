@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import _parseval_weighted, lp_norm
+from .norms import _parseval_sums, lp_norm
 from .operators import DissipationSpec
 from .spectral import GridSpec, PhysicalField, forward_transform, fourier_weight
 
@@ -136,10 +136,7 @@ def _gn_exponents(gamma: int, d: DissipationSpec) -> dict[str, float]:
 
 
 def _sum_weight(name: str, gamma: int, d: DissipationSpec):
-    """Fourier weight |xi|^p * |xi_axis|^q of a named Parseval sum, or None
-    for linf, the physical-space sup norm."""
-    if name == "linf":
-        return None
+    """Fourier weight |xi|^p * |xi_axis|^q of a named Parseval sum."""
     p, q, axis = {
         "lhs": (2.0 * gamma, 2.0 - d.alpha1, "x"),
         "big_x": (2.0 * gamma, d.alpha1, "x"),
@@ -185,22 +182,27 @@ def corpus_report(
     """Evaluate one inequality over a corpus; deterministic reduction order.
 
     The weights of the sums the lemma reads are built once from d.grid;
-    each field is transformed once.  A sample whose denominator is exactly
-    0 is degenerate, and a corpus of only such samples, or none, raises.
+    each field is transformed once, and one |coeffs|^2 serves all of its
+    Parseval sums; linf is the physical-space sup norm.  A sample whose
+    denominator is exactly 0 is degenerate, and a corpus of only such
+    samples, or none, raises.
     """
     if lemma not in _LEMMAS:
         raise ValueError(f"unknown lemma id {lemma!r}")
     if int(gamma) != gamma or gamma < 1:
         raise ValueError(f"gamma must be an integer >= 1, got {gamma}")
     names, formula, exponents = _LEMMAS[lemma]
-    weights = {name: _sum_weight(name, gamma, d) for name in names}
+    spectral = [name for name in names if name != "linf"]
+    weights = [_sum_weight(name, gamma, d) for name in spectral]
     sums = {name: np.empty(len(fields)) for name in names}
     for i, u in enumerate(fields):
         if u.grid != d.grid:
             raise ValueError(f"field on {u.grid}, but the dissipation is on {d.grid}")
         v = forward_transform(u)
-        for name, w in weights.items():
-            sums[name][i] = lp_norm(u, np.inf) if w is None else _parseval_weighted(v, w)
+        for name, value in zip(spectral, _parseval_sums(v, weights)):
+            sums[name][i] = value
+        if "linf" in sums:
+            sums["linf"][i] = lp_norm(u, np.inf)
     e = exponents(gamma, d)
     num, den = formula(sums, e)
     live = den != 0.0

@@ -51,23 +51,35 @@ class NormSample:
             raise ValueError("norm sample violates l2^2 <= l1*linf")
 
 
+def _lp_norms(u: PhysicalField, ps) -> list[float]:
+    """Quadrature L^p norms for several p in {1, 2, 4, inf}, from one |u|."""
+    a = np.abs(u.values)
+    cell = u.grid.cell_area()
+    return [float(a.max()) if p == np.inf else float((np.sum(a ** p) * cell) ** (1.0 / p))
+            for p in ps]
+
+
 def lp_norm(u: PhysicalField, p) -> float:
     """Quadrature L^p norm for p in {1, 2, 4, inf}."""
     if p not in _SUPPORTED_P:
         raise ValueError(f"unsupported p={p}; monitored set is {{1, 2, 4, inf}}")
-    a = np.abs(u.values)
-    if p == np.inf:
-        return float(a.max())
-    cell = u.grid.cell_area()
-    return float((np.sum(a ** p) * cell) ** (1.0 / p))
+    return _lp_norms(u, (p,))[0]
+
+
+def _parseval_sums(v: SpectralField, weights) -> list[float]:
+    """sqrt(sum(weight * |coeffs|^2) / (lx * ly)) over the full lattice for
+    each weight, from one |coeffs|^2: the L^2 norm of the multiplier
+    weight^(1/2) applied to v, by Parseval.  The half lattice's columns
+    enter with grid.column_weight."""
+    abs2 = np.abs(v.coeffs) ** 2
+    g = v.grid
+    return [float(np.sqrt(np.dot(np.sum(w * abs2, axis=0), g.column_weight) / g.area()))
+            for w in weights]
 
 
 def _parseval_weighted(v: SpectralField, weight) -> float:
-    """sqrt(sum(weight * |coeffs|^2) / (lx * ly)) over the full lattice: the
-    L^2 norm of the multiplier weight^(1/2) applied to v, by Parseval.  The
-    half lattice's columns enter with grid.column_weight."""
-    per_column = np.sum(weight * np.abs(v.coeffs) ** 2, axis=0)
-    return float(np.sqrt(np.dot(per_column, v.grid.column_weight) / v.grid.area()))
+    """The Parseval sum of _parseval_sums for a single weight."""
+    return _parseval_sums(v, (weight,))[0]
 
 
 def hgamma_seminorm(v: SpectralField, gamma: float) -> float:
@@ -81,18 +93,28 @@ def directional_seminorm(v: SpectralField, axis: str, beta: float) -> float:
 
 
 def record(s: SimState, c: CutoffSpec, gammas: list[int]) -> NormSample:
-    """Assemble the full NormSample for the state s."""
+    """Assemble the full NormSample for the state s.
+
+    One |u| serves the four L^p norms and one |u_hat|^2 the H^gamma and
+    dissipation seminorms; each value is the same float that lp_norm,
+    hgamma_seminorm and directional_seminorm return.
+    """
     u = inverse_transform(s.u_hat)
     ul_hat, uh_hat = split(s.u_hat, s.t, c, s.dissipation)
+    l1, l2, l4, linf = _lp_norms(u, _SUPPORTED_P)
+    g, d = s.u_hat.grid, s.dissipation
+    weights = [fourier_weight(g, 2.0 * gamma) for gamma in gammas]
+    weights += [fourier_weight(g, d.alpha1, "x"), fourier_weight(g, d.alpha2, "y")]
+    *hg, diss_x, diss_y = _parseval_sums(s.u_hat, weights)
     return NormSample(
         t=s.t,
-        l1=lp_norm(u, 1),
-        l2=lp_norm(u, 2),
-        l4=lp_norm(u, 4),
-        linf=lp_norm(u, np.inf),
-        hgamma={g: hgamma_seminorm(s.u_hat, g) for g in gammas},
-        diss_x=directional_seminorm(s.u_hat, "x", s.dissipation.alpha1 / 2.0),
-        diss_y=directional_seminorm(s.u_hat, "y", s.dissipation.alpha2 / 2.0),
+        l1=l1,
+        l2=l2,
+        l4=l4,
+        linf=linf,
+        hgamma=dict(zip(gammas, hg)),
+        diss_x=diss_x,
+        diss_y=diss_y,
         ul_l2=hgamma_seminorm(ul_hat, 0.0),
         uh_l2=hgamma_seminorm(uh_hat, 0.0),
         ledger=s.ledger,

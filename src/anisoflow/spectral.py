@@ -203,6 +203,17 @@ def band_mask(grid: GridSpec, denom: int) -> np.ndarray:
     return _band_mask_cached(grid, int(denom))
 
 
+@lru_cache(maxsize=32)
+def _fourier_weight_cached(grid: GridSpec, p: float, axis: str | None) -> np.ndarray:
+    if axis == "x":
+        base = np.abs(grid.xi1[:, None])
+    elif axis == "y":
+        base = np.abs(grid.xi2[None, :])
+    else:
+        base = grid.xi_mod
+    return _readonly(base ** p)
+
+
 def fourier_weight(grid: GridSpec, p: float, axis: str | None = None):
     """|xi_axis|^p for axis 'x' or 'y', or |xi|^p for axis=None.
 
@@ -210,18 +221,13 @@ def fourier_weight(grid: GridSpec, p: float, axis: str | None = None):
     dissipation symbol, the seminorms and the inequality ratios all take
     their weights from here.  Directional weights have shape (nx, 1) or
     (1, ny//2 + 1) and broadcast against the half lattice; p = 0 gives the
-    scalar 1.0.
+    scalar 1.0.  Each weight is built once per (grid, p, axis) and returned
+    read-only.
     """
-    if axis == "x":
-        base = np.abs(grid.xi1[:, None])
-    elif axis == "y":
-        base = np.abs(grid.xi2[None, :])
-    elif axis is None:
-        base = grid.xi_mod
-    else:
+    if axis not in ("x", "y", None):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     if not (p >= 0.0 and np.isfinite(p)):
         raise ValueError(f"weight exponent must be finite and >= 0, got {p}")
     if p == 0.0:
         return 1.0
-    return base ** p
+    return _fourier_weight_cached(grid, float(p), axis)

@@ -103,6 +103,11 @@ class TestLoadConfig:
             with pytest.raises(ValueError):
                 parse_ic(bad)
 
+    @pytest.mark.parametrize("center", ["nan, 0", "0, inf", "-inf, nan"])
+    def test_nonfinite_gaussian_center_rejected(self, tmp_path, center):
+        with pytest.raises(ConfigError, match="'ic'.*center"):
+            load_config(write_cfg(tmp_path, f"ic = gaussian(1, 1, {center})\n"))
+
     def test_full_file(self, tmp_path):
         text = (
             "nx = 64\nny = 64\nlx = 12.566370614359172\nly = 12.566370614359172\n"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,52 @@ class TestChi0:
     def test_hypothesis_monotone(self, a, b):
         lo, hi = min(a, b), max(a, b)
         assert chi0(lo) >= chi0(hi)
+
+
+def full_lattice_chi0(s):
+    """chi0 as the quotient phi(2-s) / (phi(2-s) + phi(s-1)) evaluated at
+    every s > 1, not only on the bridge: the reference for the bridge-only
+    form."""
+    s = np.asarray(s, dtype=np.float64)
+
+    def phi(t):
+        out = np.zeros_like(t)
+        pos = t > 0.0
+        with np.errstate(divide="ignore", over="ignore"):
+            out[pos] = np.exp(-1.0 / t[pos])
+        return out
+
+    a, b = phi(2.0 - s), phi(s - 1.0)
+    out = np.ones_like(s)
+    mid = s > 1.0
+    out[mid] = a[mid] / (a[mid] + b[mid])
+    return out
+
+
+class TestChi0BridgeOnly:
+    POINTS = [0.0, 1.0, np.nextafter(1.0, 2.0), 1.5, np.nextafter(2.0, 1.0), 2.0, 3.0, 1e6]
+
+    def points(self):
+        bridge = np.random.default_rng(12).uniform(1.0, 2.0, 2000)
+        return np.concatenate([self.POINTS, bridge])
+
+    def test_array_matches_full_lattice_bit_for_bit(self):
+        s = self.points()
+        assert chi0(s).tobytes() == full_lattice_chi0(s).tobytes()
+        grid_shaped = s[:2000].reshape(40, 50)
+        assert chi0(grid_shaped).tobytes() == full_lattice_chi0(grid_shaped).tobytes()
+
+    def test_scalar_returns_float_bit_for_bit(self):
+        for x in self.points()[:200]:
+            v = chi0(float(x))
+            assert type(v) is float
+            assert np.float64(v).tobytes() == full_lattice_chi0(x).tobytes()
+
+    def test_no_warning_at_the_bridge_ends(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = chi0(np.array(self.POINTS))
+        assert vals[2] == 1.0 and vals[4] == 0.0
 
 
 class TestCutoffSpec:

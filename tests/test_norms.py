@@ -13,7 +13,7 @@ from anisoflow import (
     make_grid,
     record,
 )
-from anisoflow.freqsplit import default_mu
+from anisoflow.freqsplit import default_mu, split
 from anisoflow.norms import (
     NormSample,
     _parseval_weighted,
@@ -21,7 +21,8 @@ from anisoflow.norms import (
     hgamma_seminorm,
     lp_norm,
 )
-from anisoflow.spectral import SpectralField
+from anisoflow.run import advance_to
+from anisoflow.spectral import SpectralField, inverse_transform
 
 from conftest import cosine_field, random_field
 
@@ -40,6 +41,16 @@ class TestLpNorm:
         )
         # integral of sin^2 over the 2pi x 2pi box is 2*pi^2
         assert lp_norm(u, 2) == pytest.approx(np.sqrt(2.0 * np.pi ** 2), rel=1e-13)
+
+    def test_quadrature_formula_bit_for_bit(self, grid32):
+        # the CSV's l1/l2/l4 bytes depend on a ** p with the same p: over
+        # these seeds, (a*a)**2 in place of a**4 moves the last bit of l4
+        for seed in range(32):
+            u = random_field(grid32, seed)
+            a = np.abs(u.values)
+            for p in (1, 2, 4):
+                assert lp_norm(u, p) == float((np.sum(a ** p) * grid32.cell_area()) ** (1.0 / p))
+            assert lp_norm(u, np.inf) == a.max()
 
     def test_rejects_unsupported_p(self, grid16):
         u = PhysicalField(grid16, np.ones((16, 16)))
@@ -153,6 +164,28 @@ class TestRecord:
             s = make_sim_state(grid32, values, alpha1=1.5, t=2.0)
             sample = record(s, c, [1])
             assert sample.ul_l2 ** 2 + sample.uh_l2 ** 2 <= sample.l2 ** 2 + 1e-9
+
+    @pytest.mark.parametrize("flux", [FluxSpec(1), None])
+    def test_bit_identical_to_standalone_route(self, flux):
+        grid = make_grid(64, 64, 2.0 * np.pi, 2.0 * np.pi)
+        d = DissipationSpec(grid, 1.5, 2.0)
+        u0 = forward_transform(random_field(grid, 17, band_denom=3))
+        s = advance_to(SimState(0.0, u0, d, flux), 0.25, 0.5)
+        c = CutoffSpec(default_mu(1.5, 2.0))
+        gammas = [1, 2, 3]
+        sample = record(s, c, gammas)
+
+        u = inverse_transform(s.u_hat)
+        assert [sample.l1, sample.l2, sample.l4, sample.linf] == \
+            [lp_norm(u, p) for p in (1, 2, 4, np.inf)]
+        assert sample.hgamma == {g: hgamma_seminorm(s.u_hat, g) for g in gammas}
+        assert sample.diss_x == directional_seminorm(s.u_hat, "x", d.alpha1 / 2.0)
+        assert sample.diss_y == directional_seminorm(s.u_hat, "y", d.alpha2 / 2.0)
+        ul, uh = split(s.u_hat, s.t, c, d)
+        assert sample.ul_l2 == hgamma_seminorm(ul, 0.0)
+        assert sample.uh_l2 == hgamma_seminorm(uh, 0.0)
+        # the split is nontrivial, so both halves carry weight
+        assert 0.0 < sample.uh_l2 < sample.l2 and 0.0 < sample.ul_l2 < sample.l2
 
     def test_interpolation_sanity_enforced(self):
         with pytest.raises(ValueError):

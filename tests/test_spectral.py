@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisoflow import (
+    DissipationSpec,
     GridSpec,
     PhysicalField,
     forward_transform,
@@ -11,7 +12,7 @@ from anisoflow import (
     make_grid,
 )
 from anisoflow.norms import lp_norm
-from anisoflow.spectral import SpectralField, band_mask
+from anisoflow.spectral import SpectralField, band_mask, fourier_weight
 
 from conftest import TWO_PI, cosine_field, random_field, single_mode_spectrum, spectral_energy
 
@@ -171,6 +172,41 @@ class TestDealias:
         assert not (keep[4, 0] or keep[-4, 0] or keep[0, 4])
         assert keep[3, 3] and keep[-3, 3]
         assert keep.shape == (16, 9)
+
+
+class TestFourierWeightCache:
+    def test_repeat_call_returns_the_same_read_only_array(self):
+        g = make_grid(16, 12, TWO_PI, 2.0 * TWO_PI)
+        for p, axis in ((2.0, None), (1.5, "x"), (1.5, "y"), (3, None)):
+            w = fourier_weight(g, p, axis)
+            assert fourier_weight(g, p, axis) is w
+            with pytest.raises(ValueError):
+                w[0, 0] = 1.0
+        # an equal grid shares the entry; int and float exponents agree
+        assert fourier_weight(make_grid(16, 12, TWO_PI, 2.0 * TWO_PI), 3.0) is fourier_weight(g, 3)
+
+    def test_bad_arguments_raise_on_every_call(self):
+        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        for _ in range(3):
+            for p in (-0.5, np.inf, np.nan):
+                with pytest.raises(ValueError, match="exponent"):
+                    fourier_weight(g, p, "x")
+            with pytest.raises(ValueError, match="axis"):
+                fourier_weight(g, 1.0, "z")
+
+    def test_zero_exponent_is_scalar_one(self):
+        g = make_grid(16, 16, TWO_PI, TWO_PI)
+        for axis in ("x", "y", None):
+            w = fourier_weight(g, 0.0, axis)
+            assert type(w) is float and w == 1.0
+
+    def test_dissipation_symbol_unchanged(self):
+        g = make_grid(32, 16, TWO_PI, 3.0)
+        x1, x2 = g.mesh_xi()
+        for a1, a2 in ((2.0, 2.0), (1.5, 2.0), (1.2, 1.7)):
+            d = DissipationSpec(g, a1, a2)
+            np.testing.assert_array_equal(d.symbol, np.abs(x1) ** a1 + np.abs(x2) ** a2)
+            assert not d.symbol.flags.writeable
 
 
 class TestFieldValidation:
