@@ -1,8 +1,10 @@
-"""Smooth time-frequency cutoff and the low/high decomposition u = uL + uH.
+"""Smooth time-frequency cutoff of the low/high decomposition u = uL + uH.
 
-The cutoff symbol is chi0(mu^-1 * (1+t) * m(xi)): its support shrinks
-toward the origin as t grows, so uL captures the algebraically decaying
-low-frequency core and uH the exponentially suppressed remainder.
+The cutoff symbol is chi = chi0(mu^-1 * (1+t) * m(xi)), with uL = chi*u and
+uH = (1 - chi)*u: its support shrinks toward the origin as t grows, so uL
+captures the algebraically decaying low-frequency core and uH the
+exponentially suppressed remainder.  norms.record takes both L^2 norms by
+Parseval from the weights chi^2 and (1 - chi)^2; neither part is built.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import DissipationSpec
-from .spectral import SpectralField
 
 
 def chi0(s):
@@ -62,16 +63,3 @@ class CutoffSpec:
         """Cutoff multiplier chi0(mu^-1*(1+t)*m) over the lattice."""
         return chi0((1.0 + t) / self.mu * d.symbol)
 
-
-def split(
-    u_hat: SpectralField, t: float, c: CutoffSpec, d: DissipationSpec
-) -> tuple[SpectralField, SpectralField]:
-    """Decompose into (uL_hat, uH_hat) with uL + uH = u exactly."""
-    if not (t >= 0.0 and np.isfinite(t)):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    if u_hat.grid != d.grid:
-        raise ValueError("field and dissipation symbol live on different grids")
-    weight = c.symbol(t, d)
-    low = weight * u_hat.coeffs
-    high = u_hat.coeffs - low
-    return SpectralField(u_hat.grid, low), SpectralField(u_hat.grid, high)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import _parseval_sums, lp_norm
+from .norms import lp_norms, parseval_sums
 from .operators import DissipationSpec
 from .spectral import GridSpec, PhysicalField, forward_transform, fourier_weight
 
@@ -199,10 +199,10 @@ def corpus_report(
         if u.grid != d.grid:
             raise ValueError(f"field on {u.grid}, but the dissipation is on {d.grid}")
         v = forward_transform(u)
-        for name, value in zip(spectral, _parseval_sums(v, weights)):
+        for name, value in zip(spectral, parseval_sums(v, weights)):
             sums[name][i] = value
         if "linf" in sums:
-            sums["linf"][i] = lp_norm(u, np.inf)
+            sums["linf"][i] = lp_norms(u, (np.inf,))[0]
     e = exponents(gamma, d)
     num, den = formula(sums, e)
     live = den != 0.0

@@ -18,8 +18,9 @@ _HEADER = struct.Struct("<QQdddddQ")  # nx, ny, lx, ly, alpha1, alpha2, t, kappa
 
 
 def timeseries_header(gammas) -> str:
-    hg = ",".join(f"hg{g}" for g in gammas)
-    return f"t,l1,l2,l4,linf,{hg},diss_x,diss_y,ul_l2,uh_l2"
+    cols = ["t", "l1", "l2", "l4", "linf", *(f"hg{g}" for g in gammas),
+            "diss_x", "diss_y", "ul_l2", "uh_l2"]
+    return ",".join(cols)
 
 
 def write_timeseries(series: list[NormSample], path: str, gammas) -> None:

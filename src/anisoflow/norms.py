@@ -1,8 +1,9 @@
 """Monitored norms and seminorms, and the per-sample record assembly.
 
 Physical L^p norms use grid quadrature (spectrally accurate for smooth
-periodic integrands); all L^2-based seminorms go through Parseval on the
-quadrature-weighted coefficients, so the two routes agree to roundoff.
+periodic integrands) through lp_norms; every L^2-based seminorm is one
+weight of parseval_sums on the quadrature-weighted coefficients, so the
+two routes agree to roundoff.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freqsplit import CutoffSpec, split
+from .freqsplit import CutoffSpec
 from .spectral import PhysicalField, SpectralField, fourier_weight, inverse_transform
 from .timestepper import SimState
 
@@ -21,6 +22,10 @@ _SUPPORTED_P = (1, 2, 4, np.inf)
 @dataclass(frozen=True)
 class NormSample:
     """All monitored quantities at one simulation time.
+
+    ul_l2 and uh_l2 are ||chi*u||_2 and ||(1 - chi)*u||_2, the L^2 norms of
+    the low and high parts u = uL + uH under the cutoff chi of
+    CutoffSpec.symbol.
 
     ledger is the state's in-step energy ledger (SimState.ledger); samples
     read back from a CSV carry None, since the CSV does not store it.
@@ -51,22 +56,18 @@ class NormSample:
             raise ValueError("norm sample violates l2^2 <= l1*linf")
 
 
-def _lp_norms(u: PhysicalField, ps) -> list[float]:
-    """Quadrature L^p norms for several p in {1, 2, 4, inf}, from one |u|."""
+def lp_norms(u: PhysicalField, ps) -> list[float]:
+    """Quadrature L^p norms for each p in ps, from one |u|; p in {1, 2, 4, inf}."""
+    for p in ps:
+        if p not in _SUPPORTED_P:
+            raise ValueError(f"unsupported p={p}; monitored set is {{1, 2, 4, inf}}")
     a = np.abs(u.values)
     cell = u.grid.cell_area()
     return [float(a.max()) if p == np.inf else float((np.sum(a ** p) * cell) ** (1.0 / p))
             for p in ps]
 
 
-def lp_norm(u: PhysicalField, p) -> float:
-    """Quadrature L^p norm for p in {1, 2, 4, inf}."""
-    if p not in _SUPPORTED_P:
-        raise ValueError(f"unsupported p={p}; monitored set is {{1, 2, 4, inf}}")
-    return _lp_norms(u, (p,))[0]
-
-
-def _parseval_sums(v: SpectralField, weights) -> list[float]:
+def parseval_sums(v: SpectralField, weights) -> list[float]:
     """sqrt(sum(weight * |coeffs|^2) / (lx * ly)) over the full lattice for
     each weight, from one |coeffs|^2: the L^2 norm of the multiplier
     weight^(1/2) applied to v, by Parseval.  The half lattice's columns
@@ -77,35 +78,22 @@ def _parseval_sums(v: SpectralField, weights) -> list[float]:
             for w in weights]
 
 
-def _parseval_weighted(v: SpectralField, weight) -> float:
-    """The Parseval sum of _parseval_sums for a single weight."""
-    return _parseval_sums(v, (weight,))[0]
-
-
-def hgamma_seminorm(v: SpectralField, gamma: float) -> float:
-    """Homogeneous Sobolev seminorm ||(xi1^2+xi2^2)^(gamma/2) * v|| via Parseval."""
-    return _parseval_weighted(v, fourier_weight(v.grid, 2.0 * gamma))
-
-
-def directional_seminorm(v: SpectralField, axis: str, beta: float) -> float:
-    """Directional seminorm with |xi_axis|^(2*beta) weight."""
-    return _parseval_weighted(v, fourier_weight(v.grid, 2.0 * beta, axis))
-
-
 def record(s: SimState, c: CutoffSpec, gammas: list[int]) -> NormSample:
     """Assemble the full NormSample for the state s.
 
-    One |u| serves the four L^p norms and one |u_hat|^2 the H^gamma and
-    dissipation seminorms; each value is the same float that lp_norm,
-    hgamma_seminorm and directional_seminorm return.
+    One |u| serves the four L^p norms and one |u_hat|^2 every Parseval sum:
+    the H^gamma and dissipation seminorms, and ||uL||_2, ||uH||_2 of the
+    low/high split as the weights chi^2 and (1 - chi)^2 of the cutoff
+    chi = c.symbol(t, d), without building uL or uH.
     """
     u = inverse_transform(s.u_hat)
-    ul_hat, uh_hat = split(s.u_hat, s.t, c, s.dissipation)
-    l1, l2, l4, linf = _lp_norms(u, _SUPPORTED_P)
+    l1, l2, l4, linf = lp_norms(u, _SUPPORTED_P)
     g, d = s.u_hat.grid, s.dissipation
+    chi = c.symbol(s.t, d)
     weights = [fourier_weight(g, 2.0 * gamma) for gamma in gammas]
-    weights += [fourier_weight(g, d.alpha1, "x"), fourier_weight(g, d.alpha2, "y")]
-    *hg, diss_x, diss_y = _parseval_sums(s.u_hat, weights)
+    weights += [fourier_weight(g, d.alpha1, "x"), fourier_weight(g, d.alpha2, "y"),
+                chi * chi, (1.0 - chi) ** 2]
+    *hg, diss_x, diss_y, ul_l2, uh_l2 = parseval_sums(s.u_hat, weights)
     return NormSample(
         t=s.t,
         l1=l1,
@@ -115,7 +103,7 @@ def record(s: SimState, c: CutoffSpec, gammas: list[int]) -> NormSample:
         hgamma=dict(zip(gammas, hg)),
         diss_x=diss_x,
         diss_y=diss_y,
-        ul_l2=hgamma_seminorm(ul_hat, 0.0),
-        uh_l2=hgamma_seminorm(uh_hat, 0.0),
+        ul_l2=ul_l2,
+        uh_l2=uh_l2,
         ledger=s.ledger,
     )

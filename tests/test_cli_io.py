@@ -255,6 +255,18 @@ class TestTimeseriesIO:
         assert audit.ledger_residuals is None
         assert audit.residuals == energy_audit(series).residuals
 
+    def test_round_trip_without_gammas(self, tmp_path):
+        # a programmatic run with no H^gamma column writes no empty column
+        cfg = tiny_config(tmp_path, gammas=(), nonlinearity_enabled=True)
+        series, _ = run_simulation(cfg)
+        header = (tmp_path / "ts.csv").read_text().splitlines()[0]
+        assert header == "t,l1,l2,l4,linf,diss_x,diss_y,ul_l2,uh_l2"
+        back = read_timeseries(cfg.timeseries_path)
+        assert [b.hgamma for b in back] == [{}] * len(series)
+        # 17 significant digits: equal bytes mean equal floats
+        write_timeseries(back, str(tmp_path / "again.csv"), ())
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "ts.csv").read_bytes()
+
     def test_read_rejects_malformed_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("time,l2\n0,1\n")
@@ -535,6 +547,20 @@ class TestPackage:
         namespace = {}
         exec("import io\nfrom anisoflow import *", namespace)
         assert namespace["io"].__name__ == "io"
+
+    def test_no_private_name_imported_across_modules(self):
+        # the primitives one module lends another are public module names
+        import ast
+
+        private = []
+        for path in sorted((ROOT / "src" / "anisoflow").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for n in ast.walk(tree):
+                if isinstance(n, ast.ImportFrom) and n.level >= 1:
+                    private += [f"{path.name}: from {'.' * n.level}{n.module or ''} "
+                                f"import {a.name}"
+                                for a in n.names if a.name.startswith("_")]
+        assert private == []
 
     def test_all_is_what_callers_import(self):
         # the scripts, the benchmark and the acceptance suite are the

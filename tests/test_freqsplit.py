@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisoflow import CutoffSpec, DissipationSpec, forward_transform
-from anisoflow.freqsplit import chi0, default_mu, split
-from anisoflow.norms import hgamma_seminorm
-from conftest import random_field, single_mode_spectrum
+from anisoflow import CutoffSpec, DissipationSpec, SimState, forward_transform, record
+from anisoflow.freqsplit import chi0, default_mu
+from anisoflow.norms import parseval_sums
+from anisoflow.spectral import SpectralField
+from conftest import random_field
 
 
 class TestChi0:
@@ -105,14 +106,27 @@ class TestCutoffSpec:
 
 
 class TestSplit:
+    """The low/high split as record reports it: ul_l2 = ||chi*u||_2 and
+    uh_l2 = ||(1 - chi)*u||_2.  A negative time or a field on another grid
+    never reaches record: SimState rejects both (see
+    test_timestepper.TestSimState)."""
+
+    @staticmethod
+    def split_norms(v, t, c, d):
+        sample = record(SimState(t, v, d, None), c, [])
+        return sample.ul_l2, sample.uh_l2, sample.l2
+
     def test_reconstruction(self, grid32):
+        # uH is the complement u - uL of uL = chi*u, to one rounding per mode
         d = DissipationSpec(grid32, 1.5, 2.0)
         c = CutoffSpec(default_mu(1.5, 2.0))
         v = forward_transform(random_field(grid32, 0))
-        ul, uh = split(v, 3.0, c, d)
-        scale = np.max(np.abs(v.coeffs))
-        # complementary by construction; exact to one rounding
-        assert np.max(np.abs(ul.coeffs + uh.coeffs - v.coeffs)) <= 2 ** -52 * scale
+        ul, uh, _ = self.split_norms(v, 3.0, c, d)
+        low = c.symbol(3.0, d) * v.coeffs
+        high = v.coeffs - low
+        expected = [parseval_sums(SpectralField(grid32, part), [1.0])[0] for part in (low, high)]
+        assert 0.0 < uh and 0.0 < ul
+        assert [ul, uh] == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_large_time_leaves_only_zero_mode(self, grid16):
         d = DissipationSpec(grid16, 2.0, 2.0)
@@ -120,20 +134,20 @@ class TestSplit:
         # smallest nonzero symbol value on the unit-spacing lattice is 1
         t = 2.0 * mu  # (1+t)/mu >= 2 on every nonzero mode
         v = forward_transform(random_field(grid16, 1))
-        ul, uh = split(v, t, CutoffSpec(mu), d)
-        off_zero = ul.coeffs.copy()
-        off_zero[0, 0] = 0.0
-        assert np.all(off_zero == 0.0)
-        assert ul.coeffs[0, 0] == v.coeffs[0, 0]
-        assert uh.coeffs[0, 0] == 0.0
+        ul, uh, _ = self.split_norms(v, t, CutoffSpec(mu), d)
+        zero_mode = np.zeros(v.coeffs.shape)
+        zero_mode[0, 0] = 1.0
+        # uL keeps the zero mode alone, and uH every other mode
+        assert [ul, uh] == parseval_sums(v, [zero_mode, 1.0 - zero_mode])
+        assert ul == pytest.approx(abs(v.coeffs[0, 0]) / np.sqrt(grid16.area()), rel=1e-15)
 
     def test_huge_mu_keeps_everything_low(self, grid16):
         d = DissipationSpec(grid16, 2.0, 2.0)
         mu = 2.0 * float(np.max(d.symbol))
         v = forward_transform(random_field(grid16, 2))
-        ul, uh = split(v, 0.0, CutoffSpec(mu), d)
-        assert np.all(uh.coeffs == 0.0)
-        np.testing.assert_array_equal(ul.coeffs, v.coeffs)
+        ul, uh, _ = self.split_norms(v, 0.0, CutoffSpec(mu), d)
+        assert uh == 0.0
+        assert ul == parseval_sums(v, [1.0])[0]
 
     def test_pythagoras_with_transition_slack(self, grid32):
         d = DissipationSpec(grid32, 1.5, 2.0)
@@ -141,24 +155,16 @@ class TestSplit:
         for seed in range(5):
             v = forward_transform(random_field(grid32, seed))
             # pick t so the transition annulus is populated
-            ul, uh = split(v, 2.0, c, d)
-            total = hgamma_seminorm(v, 0.0) ** 2
-            low = hgamma_seminorm(ul, 0.0) ** 2
-            high = hgamma_seminorm(uh, 0.0) ** 2
+            ul, uh, l2 = self.split_norms(v, 2.0, c, d)
+            low, high, total = ul ** 2, uh ** 2, l2 ** 2
             assert low + high <= total * (1.0 + 1e-12)
             assert total <= 2.0 * (low + high) * (1.0 + 1e-12)
-
-    def test_rejects_negative_time(self, grid16):
-        d = DissipationSpec(grid16, 2.0, 2.0)
-        v = single_mode_spectrum(grid16, 1, 0)
-        with pytest.raises(ValueError):
-            split(v, -0.5, CutoffSpec(8.0), d)
 
 
 @pytest.fixture(scope="module")
 def small_run():
     from anisoflow import GaussianIC, GridSpec, RunConfig, run_simulation
-    from anisoflow.norms import lp_norm
+    from anisoflow.norms import lp_norms
     from anisoflow.run import synthesize_ic
 
     a1, a2 = 1.5, 2.0
@@ -168,7 +174,7 @@ def small_run():
         RunConfig(nx=128, ny=128, lx=grid.lx, ly=grid.ly, ic=GaussianIC(1.0, 2.0)),
         grid,
     )
-    amp = 1.0 / lp_norm(raw, 1)
+    amp = 1.0 / lp_norms(raw, (1,))[0]
     cfg = RunConfig(
         nx=128, ny=128, lx=grid.lx, ly=grid.ly, alpha1=a1, alpha2=a2,
         t_end=30.0, sample_every=0.5, ic=GaussianIC(amp, 2.0),

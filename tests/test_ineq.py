@@ -12,7 +12,8 @@ from anisoflow import (
     generate_corpus,
 )
 from anisoflow.ineq import DegenerateSampleError
-from anisoflow.norms import hgamma_seminorm
+from anisoflow.norms import parseval_sums
+from anisoflow.spectral import fourier_weight
 
 from conftest import TWO_PI, cosine_field, random_field
 
@@ -68,7 +69,8 @@ class TestCorpusGeneration:
         for gamma in (1.0, 2.0):
             for f in generate_corpus(spec):
                 v = forward_transform(f)
-                ratio = hgamma_seminorm(v, gamma) / hgamma_seminorm(v, 0.0)
+                hg, l2 = parseval_sums(v, [fourier_weight(v.grid, 2.0 * gamma), 1.0])
+                ratio = hg / l2
                 assert ratio == pytest.approx(5.0 ** gamma, rel=1e-12)
 
 

@@ -13,34 +13,39 @@ from anisoflow import (
     make_grid,
     record,
 )
-from anisoflow.freqsplit import default_mu, split
-from anisoflow.norms import (
-    NormSample,
-    _parseval_weighted,
-    directional_seminorm,
-    hgamma_seminorm,
-    lp_norm,
-)
+from anisoflow.freqsplit import chi0, default_mu
+from anisoflow.norms import NormSample, lp_norms, parseval_sums
 from anisoflow.run import advance_to
-from anisoflow.spectral import SpectralField, inverse_transform
+from anisoflow.spectral import SpectralField, fourier_weight, inverse_transform
 
 from conftest import cosine_field, random_field
+
+
+def hgamma(v, gamma):
+    """||(xi1^2 + xi2^2)^(gamma/2) v||_2 through the one Parseval route."""
+    return parseval_sums(v, [fourier_weight(v.grid, 2.0 * gamma)])[0]
+
+
+def directional(v, axis, beta):
+    """||xi_axis|^beta v||_2 through the one Parseval route."""
+    return parseval_sums(v, [fourier_weight(v.grid, 2.0 * beta, axis)])[0]
 
 
 class TestLpNorm:
     def test_constant_field(self, grid16):
         u = PhysicalField(grid16, np.full((16, 16), 2.0))
         area = grid16.area()
-        assert lp_norm(u, 2) == pytest.approx(2.0 * np.sqrt(area), rel=1e-14)
-        assert lp_norm(u, np.inf) == 2.0
-        assert lp_norm(u, 1) == pytest.approx(2.0 * area, rel=1e-14)
+        l2, linf, l1 = lp_norms(u, (2, np.inf, 1))
+        assert l2 == pytest.approx(2.0 * np.sqrt(area), rel=1e-14)
+        assert linf == 2.0
+        assert l1 == pytest.approx(2.0 * area, rel=1e-14)
 
     def test_sine_l2(self, grid32):
         u = PhysicalField(
             grid32, np.sin(grid32.x)[:, None] * np.ones(grid32.ny)[None, :]
         )
         # integral of sin^2 over the 2pi x 2pi box is 2*pi^2
-        assert lp_norm(u, 2) == pytest.approx(np.sqrt(2.0 * np.pi ** 2), rel=1e-13)
+        assert lp_norms(u, (2,))[0] == pytest.approx(np.sqrt(2.0 * np.pi ** 2), rel=1e-13)
 
     def test_quadrature_formula_bit_for_bit(self, grid32):
         # the CSV's l1/l2/l4 bytes depend on a ** p with the same p: over
@@ -48,70 +53,80 @@ class TestLpNorm:
         for seed in range(32):
             u = random_field(grid32, seed)
             a = np.abs(u.values)
-            for p in (1, 2, 4):
-                assert lp_norm(u, p) == float((np.sum(a ** p) * grid32.cell_area()) ** (1.0 / p))
-            assert lp_norm(u, np.inf) == a.max()
+            expected = [float((np.sum(a ** p) * grid32.cell_area()) ** (1.0 / p))
+                        for p in (1, 2, 4)]
+            assert lp_norms(u, (1, 2, 4, np.inf)) == [*expected, a.max()]
+            # each norm is the same float whichever others share its |u|
+            assert [lp_norms(u, (p,))[0] for p in (1, 2, 4)] == expected
 
     def test_rejects_unsupported_p(self, grid16):
         u = PhysicalField(grid16, np.ones((16, 16)))
-        with pytest.raises(ValueError):
-            lp_norm(u, 3)
+        for ps in ((3,), (2, 3), (0.5, np.inf)):
+            with pytest.raises(ValueError):
+                lp_norms(u, ps)
 
 
 class TestHgamma:
     def test_gamma_zero_is_parseval_l2(self, grid32):
         u = random_field(grid32, 0)
         v = forward_transform(u)
-        assert hgamma_seminorm(v, 0.0) == pytest.approx(lp_norm(u, 2), rel=1e-12)
+        assert hgamma(v, 0.0) == pytest.approx(lp_norms(u, (2,))[0], rel=1e-12)
 
     def test_unit_wavenumber(self, grid16):
         u = cosine_field(grid16, 1, 0)
         v = forward_transform(u)
-        assert hgamma_seminorm(v, 1.0) == pytest.approx(lp_norm(u, 2), rel=1e-12)
+        assert hgamma(v, 1.0) == pytest.approx(lp_norms(u, (2,))[0], rel=1e-12)
 
     def test_weight_four(self, grid16):
         u = cosine_field(grid16, 2, 0)
         v = forward_transform(u)
-        assert hgamma_seminorm(v, 2.0) == pytest.approx(4.0 * lp_norm(u, 2), rel=1e-12)
+        assert hgamma(v, 2.0) == pytest.approx(4.0 * lp_norms(u, (2,))[0], rel=1e-12)
 
     def test_norm_nesting(self, grid32):
         # ||u||_H(a+b) == || |xi|^a u ||_H(b)
         v = forward_transform(random_field(grid32, 1))
         for a, b in ((0.5, 0.0), (1.0, 0.0), (2.0, 0.0), (0.5, 1.5), (1.0, 1.0)):
-            direct = hgamma_seminorm(v, a + b)
-            nested = hgamma_seminorm(SpectralField(grid32, v.coeffs * grid32.xi_mod ** a), b)
+            direct = hgamma(v, a + b)
+            nested = hgamma(SpectralField(grid32, v.coeffs * grid32.xi_mod ** a), b)
             assert nested == pytest.approx(direct, rel=1e-12)
 
     def test_rejects_negative(self, grid16):
-        v = forward_transform(random_field(grid16, 2))
         with pytest.raises(ValueError):
-            hgamma_seminorm(v, -1.0)
+            fourier_weight(grid16, -2.0)
 
 
 class TestDirectionalSeminorm:
     def test_no_x_dependence_vanishes(self, grid16):
         v = forward_transform(cosine_field(grid16, 0, 1))
-        assert directional_seminorm(v, "x", 1.0) <= 1e-13
+        assert directional(v, "x", 1.0) <= 1e-13
 
     def test_single_mode_weight(self, grid16):
         u = cosine_field(grid16, 2, 0)
         v = forward_transform(u)
-        expected = 2.0 ** 0.75 * lp_norm(u, 2)
-        assert directional_seminorm(v, "x", 0.75) == pytest.approx(expected, rel=1e-12)
+        expected = 2.0 ** 0.75 * lp_norms(u, (2,))[0]
+        assert directional(v, "x", 0.75) == pytest.approx(expected, rel=1e-12)
 
     def test_beta_zero_is_l2(self, grid16):
         u = random_field(grid16, 3)
         v = forward_transform(u)
-        assert directional_seminorm(v, "y", 0.0) == pytest.approx(lp_norm(u, 2), rel=1e-12)
+        assert directional(v, "y", 0.0) == pytest.approx(lp_norms(u, (2,))[0], rel=1e-12)
 
     def test_rejects_negative_beta(self, grid16):
-        v = forward_transform(random_field(grid16, 4))
         with pytest.raises(ValueError):
-            directional_seminorm(v, "x", -0.25)
+            fourier_weight(grid16, -0.5, "x")
 
 
 even_points = st.integers(4, 32).map(lambda n: 2 * n)
 box_lengths = st.floats(0.1, 100.0)
+
+
+def full_lattice(grid, values):
+    """Wavenumbers 2*pi*j/l and quadrature-scaled fft2 coefficients over the
+    full lattice, rebuilt from numpy rather than from GridSpec."""
+    nx, ny, lx, ly = grid.nx, grid.ny, grid.lx, grid.ly
+    k1, k2 = np.meshgrid(2.0 * np.pi * np.fft.fftfreq(nx, d=lx / nx),
+                         2.0 * np.pi * np.fft.fftfreq(ny, d=ly / ny), indexing="ij")
+    return k1, k2, np.fft.fft2(values) * (lx * ly / (nx * ny))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -121,18 +136,21 @@ def test_parseval_sums_match_explicit_weighted_sums(nx, ny, lx, ly, seed, p):
     grid = make_grid(nx, ny, lx, ly)
     u = PhysicalField(grid, np.random.default_rng(seed).standard_normal((nx, ny)))
     v = forward_transform(u)
-    assert _parseval_weighted(v, 1.0) == pytest.approx(lp_norm(u, 2), rel=1e-12)
-    # wavenumbers 2*pi*j/l and |coeffs|^2 rebuilt from numpy, not from GridSpec
-    k1, k2 = np.meshgrid(2.0 * np.pi * np.fft.fftfreq(nx, d=lx / nx),
-                         2.0 * np.pi * np.fft.fftfreq(ny, d=ly / ny), indexing="ij")
-    abs2 = np.abs(np.fft.fft2(u.values) * (lx * ly / (nx * ny))) ** 2
+    k1, k2, c = full_lattice(grid, u.values)
+    abs2 = np.abs(c) ** 2
 
     def explicit(weight):
         return np.sqrt(np.sum(weight * abs2) / (lx * ly))
 
-    assert hgamma_seminorm(v, p) == pytest.approx(explicit((k1 ** 2 + k2 ** 2) ** p), rel=1e-12)
-    assert directional_seminorm(v, "x", p) == pytest.approx(explicit(np.abs(k1) ** (2 * p)), rel=1e-12)
-    assert directional_seminorm(v, "y", p) == pytest.approx(explicit(np.abs(k2) ** (2 * p)), rel=1e-12)
+    weights = [1.0, fourier_weight(grid, 2 * p), fourier_weight(grid, 2 * p, "x"),
+               fourier_weight(grid, 2 * p, "y")]
+    one, hg, dx, dy = parseval_sums(v, weights)
+    assert one == pytest.approx(lp_norms(u, (2,))[0], rel=1e-12)
+    assert hg == pytest.approx(explicit((k1 ** 2 + k2 ** 2) ** p), rel=1e-12)
+    assert dx == pytest.approx(explicit(np.abs(k1) ** (2 * p)), rel=1e-12)
+    assert dy == pytest.approx(explicit(np.abs(k2) ** (2 * p)), rel=1e-12)
+    # one |coeffs|^2 serves every weight: each sum is the float it is alone
+    assert [parseval_sums(v, [w])[0] for w in weights] == [one, hg, dx, dy]
 
 
 def make_sim_state(grid, values, alpha1=2.0, alpha2=2.0, t=0.0):
@@ -177,13 +195,23 @@ class TestRecord:
 
         u = inverse_transform(s.u_hat)
         assert [sample.l1, sample.l2, sample.l4, sample.linf] == \
-            [lp_norm(u, p) for p in (1, 2, 4, np.inf)]
-        assert sample.hgamma == {g: hgamma_seminorm(s.u_hat, g) for g in gammas}
-        assert sample.diss_x == directional_seminorm(s.u_hat, "x", d.alpha1 / 2.0)
-        assert sample.diss_y == directional_seminorm(s.u_hat, "y", d.alpha2 / 2.0)
-        ul, uh = split(s.u_hat, s.t, c, d)
-        assert sample.ul_l2 == hgamma_seminorm(ul, 0.0)
-        assert sample.uh_l2 == hgamma_seminorm(uh, 0.0)
+            lp_norms(u, (1, 2, 4, np.inf))
+        weights = [fourier_weight(grid, 2.0 * g) for g in gammas]
+        weights += [fourier_weight(grid, d.alpha1, "x"), fourier_weight(grid, d.alpha2, "y")]
+        *hg, diss_x, diss_y = parseval_sums(s.u_hat, weights)
+        assert sample.hgamma == dict(zip(gammas, hg))
+        assert (sample.diss_x, sample.diss_y) == (diss_x, diss_y)
+        chi = c.symbol(s.t, d)
+        assert [sample.ul_l2, sample.uh_l2] == parseval_sums(s.u_hat, [chi * chi, (1.0 - chi) ** 2])
+
+        # ||chi*u||_2 and ||(1-chi)*u||_2 summed over the full fft2 lattice
+        k1, k2, coeffs = full_lattice(grid, u.values)
+        chi_full = chi0((1.0 + s.t) / c.mu * (np.abs(k1) ** d.alpha1 + np.abs(k2) ** d.alpha2))
+        abs2 = np.abs(coeffs) ** 2
+        ul = np.sqrt(np.sum(chi_full ** 2 * abs2) / grid.area())
+        uh = np.sqrt(np.sum((1.0 - chi_full) ** 2 * abs2) / grid.area())
+        assert sample.ul_l2 == pytest.approx(ul, rel=1e-13, abs=0.0)
+        assert sample.uh_l2 == pytest.approx(uh, rel=1e-13, abs=0.0)
         # the split is nontrivial, so both halves carry weight
         assert 0.0 < sample.uh_l2 < sample.l2 and 0.0 < sample.ul_l2 < sample.l2
 
