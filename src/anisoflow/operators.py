@@ -8,7 +8,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from .errors import NonFiniteStateError
-from .spectral import FFT_WORKERS, GridSpec, band_mask, fourier_weight
+from .spectral import FFT_WORKERS, GridSpec, band_layout, fourier_weight
 
 
 @dataclass(frozen=True)
@@ -57,22 +57,24 @@ class FluxSpec:
 
 
 def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec) -> np.ndarray:
-    """Spectral divergence of the flux, i*(xi1+xi2) * F[f(u)], dealiased.
+    """Spectral divergence of the flux, i*(xi1+xi2) * F[f(u)], on the band.
 
-    coeffs are quadrature-weighted.  The state is truncated to the
+    coeffs and the result are band arrays of band_layout(grid,
+    flux.dealias_denom), quadrature-weighted: the state is zero outside the
     alias-free band before the pointwise power is taken, and the result is
-    truncated again, so the monomial products are exact on the retained
-    modes.  The zero mode vanishes identically: the flux is in divergence
-    form.  Two transforms per call, which dominates the time-step cost.
+    kept on the band only, so the monomial products are exact on the
+    retained modes.  The zero mode vanishes identically: the flux is in
+    divergence form.
     """
-    keep = band_mask(grid, flux.dealias_denom)
+    band = band_layout(grid, flux.dealias_denom)
     area = grid.cell_area()
-    u_band = _fft.irfft2(np.where(keep, coeffs, 0.0), s=(grid.nx, grid.ny), workers=FFT_WORKERS) / area
+    u_band = _fft.irfft2(band.scatter(coeffs), s=(grid.nx, grid.ny), workers=FFT_WORKERS)
+    u_band /= area
     w = flux(u_band)
     if not np.all(np.isfinite(w)):
         raise NonFiniteStateError(
             f"overflow evaluating flux power u^{flux.kappa + 1}"
         )
-    w_hat = _fft.rfft2(w, workers=FFT_WORKERS) * area
-    xi1, xi2 = grid.mesh_xi()
-    return np.where(keep, 1j * (xi1 + xi2) * w_hat, 0.0)
+    w_hat = band.gather(_fft.rfft2(w, workers=FFT_WORKERS))
+    w_hat *= area
+    return np.multiply(band.ixi, w_hat, out=w_hat)

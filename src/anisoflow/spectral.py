@@ -1,5 +1,5 @@
 """Periodic grid, discrete Fourier transform conventions, Fourier weights
-and the alias-free band masks.
+and the alias-free band, as a mask and as a compact layout.
 
 Every field is real, so a spectrum is stored on the half lattice of
 scipy.fft.rfft2, shape (nx, ny//2 + 1): the coefficient at -xi is the
@@ -16,6 +16,11 @@ its mirror -k, and the self-conjugate columns k = 0 and k = ny/2 once.
 Wavenumbers along x follow the signed FFT layout: xi1[j] = 2*pi*j_tilde/lx
 with j_tilde in [-nx/2, nx/2).  Along y only k = 0 .. ny/2 is stored:
 xi2[k] = 2*pi*k/ly >= 0.
+
+The flux step only ever holds modes inside the alias-free band, so it works
+on band arrays (band_layout): the retained rows and columns of the half
+lattice packed into one smaller array, gathered from and scattered back to
+the half lattice once per step.
 """
 
 from __future__ import annotations
@@ -201,6 +206,57 @@ def band_mask(grid: GridSpec, denom: int) -> np.ndarray:
     alias-free on every grid.
     """
     return _band_mask_cached(grid, int(denom))
+
+
+@dataclass(frozen=True)
+class BandLayout:
+    """The alias-free band of one (grid, denom), stored compactly.
+
+    The retained rows of the half lattice are its first n_pos rows (j >= 0)
+    and its last n_neg rows (j < 0); the retained columns are its first
+    ncols.  A band array stacks those rows, j >= 0 first, into shape
+    (n_pos + n_neg, ncols), so its last n_neg rows are the j < 0 ones in
+    lattice order.
+    """
+
+    grid: GridSpec
+    n_pos: int
+    n_neg: int
+    ncols: int
+
+    @property
+    def fold(self) -> tuple[int, int, int]:
+        return self.n_pos, self.n_neg, self.ncols
+
+    @cached_property
+    def ixi(self) -> np.ndarray:
+        """The flux-divergence multiplier i*(xi1 + xi2) on the band, read-only."""
+        xi1, xi2 = self.grid.mesh_xi()
+        return _readonly(self.gather(1j * (xi1 + xi2)))
+
+    def gather(self, a: np.ndarray) -> np.ndarray:
+        """Half-lattice array -> fresh band array."""
+        out = np.empty((self.n_pos + self.n_neg, self.ncols), dtype=a.dtype)
+        out[: self.n_pos] = a[: self.n_pos, : self.ncols]
+        out[self.n_pos:] = a[self.grid.nx - self.n_neg:, : self.ncols]
+        return out
+
+    def scatter(self, b: np.ndarray) -> np.ndarray:
+        """Band array -> fresh half-lattice array, zero outside the band."""
+        out = np.zeros((self.grid.nx, self.grid.ny // 2 + 1), dtype=b.dtype)
+        out[: self.n_pos, : self.ncols] = b[: self.n_pos]
+        out[self.grid.nx - self.n_neg:, : self.ncols] = b[self.n_pos:]
+        return out
+
+
+@lru_cache(maxsize=32)
+def band_layout(grid: GridSpec, denom: int) -> BandLayout:
+    """The band kept by band_mask(grid, denom) as a BandLayout, built once
+    per (grid, denom)."""
+    keep = band_mask(grid, denom)
+    n_pos = int(np.count_nonzero(keep[: grid.nx // 2, 0]))
+    n_neg = int(np.count_nonzero(keep[grid.nx // 2:, 0]))
+    return BandLayout(grid, n_pos, n_neg, int(np.count_nonzero(keep[0])))
 
 
 @lru_cache(maxsize=32)

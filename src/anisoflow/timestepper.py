@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BlowUpError, NonFiniteStateError
 from .operators import DissipationSpec, FluxSpec, nonlinear_coeffs
-from .spectral import GridSpec, PhysicalField, SpectralField, band_mask
+from .spectral import GridSpec, PhysicalField, SpectralField, band_layout
 
 #: Amplitude floor in the CFL denominator; keeps dt finite on a zero field.
 CFL_AMPLITUDE_FLOOR = 1e-8
@@ -76,25 +76,31 @@ def linear_exact(u0_hat: SpectralField, d: DissipationSpec, t: float) -> Spectra
 def step_ifrk4(s: SimState, dt: float) -> SimState:
     """Advance one step of classical RK4 on the integrating-factor variable.
 
-    Exact on the linear part for any dt.  With the flux enabled the result
-    is truncated to the alias-free band.  Nonfinite values anywhere in the
-    step raise BlowUpError carrying the time the step was aiming for.  The
-    step's dissipation integral, over the retained band (the step zeroes
-    everything else), is added to the ledger (see _ledger_weights); it
+    Exact on the linear part for any dt.  With the flux enabled the step
+    works on the alias-free band only (band_layout): the state and the
+    symbol are gathered onto it once, every stage lives there, and the
+    result is scattered back with everything outside the band zeroed, so
+    the modes outside the band are never read.  A nonfinite value in the
+    band, or one arising during the step, raises BlowUpError carrying the
+    time the step was aiming for.  The step's dissipation integral, over
+    the retained band, is added to the ledger (see _ledger_weights); it
     only reads the stage arrays, so u_hat does not depend on it.
     """
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     grid = s.grid
-    m = s.dissipation.symbol
-    c = s.u_hat.coeffs
-    e_full = np.exp(-dt * m)
     if s.flux is None:
-        new = e_full * c
+        m = s.dissipation.symbol
+        c = s.u_hat.coeffs
+        new = np.exp(-dt * m) * c
         fold, m_kept, mult = _quadrant(s.dissipation, 1)
         # exact for the free decay: 0.5*|c|^2*(1 - exp(-2*m*dt)) per mode
         dissipated = -0.5 * np.expm1(-2.0 * dt * m_kept) * _folded_abs2(c, fold)
     else:
+        band = band_layout(grid, s.flux.dealias_denom)
+        m = band.gather(s.dissipation.symbol)
+        c = band.gather(s.u_hat.coeffs)
+        e_full = np.exp(-dt * m)
         e_half = np.exp(-0.5 * dt * m)
         fold, m_kept, mult = _quadrant(s.dissipation, s.flux.dealias_denom)
 
@@ -118,12 +124,13 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
         end = _folded_abs2(stage, fold)
         del stage
         new = e_full * c + (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4) / 6.0
-        new = np.where(band_mask(grid, s.flux.dealias_denom), new, 0.0)
         p0, p1, p2 = _ledger_weights(2.0 * dt * m_kept)
         dissipated = p0 * _folded_abs2(c, fold) + p1 * (0.5 * mid) + p2 * end
     dissipated = float(np.dot(dissipated.sum(axis=0), mult)) / grid.area()
     if not (np.all(np.isfinite(new)) and np.isfinite(dissipated)):
         raise BlowUpError(s.t + dt)
+    if s.flux is not None:
+        new = band.scatter(new)
     return replace(s, t=s.t + dt, u_hat=SpectralField(grid, new), ledger=s.ledger + dissipated)
 
 
@@ -131,22 +138,24 @@ def _quadrant(d: DissipationSpec, denom: int):
     """Fold of the retained band (every mode for denom=1) onto j, k >= 0.
 
     The symbol is even in j, so the ledger weights need only the rows
-    j >= 0 of the half lattice.  Returns the fold (numbers of retained rows
-    with j >= 0 and with j < 0, number of retained columns), the symbol on
-    the quadrant, and each column's multiplicity, grid.column_weight.
+    j >= 0 of the half lattice.  Returns the fold of band_layout(grid,
+    denom) (numbers of retained rows with j >= 0 and with j < 0, number of
+    retained columns), the symbol on the quadrant, and each column's
+    multiplicity, grid.column_weight.
     """
     g = d.grid
-    keep = band_mask(g, denom)
-    n_pos = int(np.count_nonzero(keep[: g.nx // 2, 0]))
-    n_neg = int(np.count_nonzero(keep[g.nx // 2:, 0]))
-    ncols = int(np.count_nonzero(keep[0]))
+    n_pos, n_neg, ncols = fold = band_layout(g, denom).fold
     # rows j and -j share the symbol; the last row may be the Nyquist row
     # j = -nx/2, which sits at index nx/2 itself
-    return (n_pos, n_neg, ncols), d.symbol[: max(n_pos, n_neg + 1), :ncols], g.column_weight[:ncols]
+    return fold, d.symbol[: max(n_pos, n_neg + 1), :ncols], g.column_weight[:ncols]
 
 
 def _folded_abs2(a: np.ndarray, fold: tuple[int, int, int]) -> np.ndarray:
-    """|a|^2 on the retained band, rows j and -j summed onto row |j|."""
+    """|a|^2 on the retained band, rows j and -j summed onto row |j|.
+
+    a is a half-lattice array or a band array of the same fold: either way
+    its first n_pos rows are j >= 0 and its last n_neg rows are j < 0.
+    """
     n_pos, n_neg, ncols = fold
     out = np.zeros((max(n_pos, n_neg + 1), ncols))
     for rows, dest in ((a[:n_pos, :ncols], out[:n_pos]), (a[: -n_neg - 1: -1, :ncols], out[1: n_neg + 1])):
@@ -202,7 +211,9 @@ def cfl_dt(u: PhysicalField, g: GridSpec, safety: float, kappa: int = 1) -> floa
     """
     if not (0.0 < safety <= 1.0):
         raise ValueError(f"safety must lie in (0, 1], got {safety}")
-    if not np.all(np.isfinite(u.values)):
+    # NaN and inf both propagate through the max, so one pass checks both
+    peak = float(np.max(np.abs(u.values)))
+    if not np.isfinite(peak):
         raise ValueError("CFL estimate on nonfinite field")
-    amp = max(float(np.max(np.abs(u.values))) ** kappa, CFL_AMPLITUDE_FLOOR)
+    amp = max(peak ** kappa, CFL_AMPLITUDE_FLOOR)
     return safety * min(g.dx, g.dy) / amp

@@ -11,7 +11,7 @@ from anisoflow import (
 from anisoflow.errors import NonFiniteStateError
 from anisoflow.norms import lp_norms, parseval_sums
 from anisoflow.operators import nonlinear_coeffs
-from anisoflow.spectral import SpectralField, band_mask, fourier_weight
+from anisoflow.spectral import SpectralField, band_layout, band_mask, fourier_weight
 
 from conftest import random_field, single_mode_spectrum
 
@@ -122,8 +122,12 @@ class TestFluxSpec:
 
 
 def flux_divergence(u: PhysicalField, flux: FluxSpec) -> SpectralField:
-    """N(u) of the physical field u, through the stepper's nonlinear_coeffs."""
-    return SpectralField(u.grid, nonlinear_coeffs(u.grid, forward_transform(u).coeffs, flux))
+    """N(u) of the physical field u on the half lattice, through the
+    stepper's nonlinear_coeffs: the spectrum is gathered onto the band and
+    the result scattered back."""
+    band = band_layout(u.grid, flux.dealias_denom)
+    n = nonlinear_coeffs(u.grid, band.gather(forward_transform(u).coeffs), flux)
+    return SpectralField(u.grid, band.scatter(n))
 
 
 class TestNonlinearTerm:
@@ -174,7 +178,21 @@ class TestNonlinearTerm:
             flux_divergence(u, FluxSpec(1))
 
     def test_rejects_nonfinite_input(self, grid16):
+        band = band_layout(grid16, 3)
         coeffs = forward_transform(random_field(grid16, 8)).coeffs.copy()
         coeffs[1, 2] = np.inf  # inside the retained band
         with pytest.raises(NonFiniteStateError):
-            nonlinear_coeffs(grid16, coeffs, FluxSpec(1))
+            nonlinear_coeffs(grid16, band.gather(coeffs), FluxSpec(1))
+
+    def test_takes_and_returns_band_arrays(self, grid32):
+        flux = FluxSpec(1)
+        band = band_layout(grid32, flux.dealias_denom)
+        coeffs = forward_transform(random_field(grid32, 9)).coeffs
+        n = nonlinear_coeffs(grid32, band.gather(coeffs), flux)
+        assert n.shape == (band.n_pos + band.n_neg, band.ncols) == (21, 11)
+        # the band array carries the same modes the full-lattice route keeps
+        u_band = np.fft.irfft2(np.where(band_mask(grid32, 3), coeffs, 0.0), s=(32, 32))
+        w_hat = np.fft.rfft2(flux(u_band / grid32.cell_area())) * grid32.cell_area()
+        xi1, xi2 = grid32.mesh_xi()
+        full = np.where(band_mask(grid32, 3), 1j * (xi1 + xi2) * w_hat, 0.0)
+        np.testing.assert_allclose(band.scatter(n), full, rtol=0, atol=1e-12 * np.max(np.abs(full)))

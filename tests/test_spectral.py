@@ -12,7 +12,7 @@ from anisoflow import (
     make_grid,
 )
 from anisoflow.norms import lp_norms
-from anisoflow.spectral import SpectralField, band_mask, fourier_weight
+from anisoflow.spectral import SpectralField, band_layout, band_mask, fourier_weight
 
 from conftest import TWO_PI, cosine_field, random_field, single_mode_spectrum, spectral_energy
 
@@ -172,6 +172,51 @@ class TestDealias:
         assert not (keep[4, 0] or keep[-4, 0] or keep[0, 4])
         assert keep[3, 3] and keep[-3, 3]
         assert keep.shape == (16, 9)
+
+
+# 4 divides 48 and 32, so the edge modes j = +-12 and k = 8 are dropped;
+# 3 divides 48, dropping j = +-16
+LAYOUT_CASES = [
+    ((32, 32), 3, (11, 10, 11)),
+    ((32, 32), 4, (8, 7, 8)),
+    ((48, 32), 3, (16, 15, 11)),
+    ((48, 32), 4, (12, 11, 8)),
+]
+
+
+class TestBandLayout:
+    @pytest.mark.parametrize("shape,denom,fold", LAYOUT_CASES)
+    def test_round_trip_is_the_masked_spectrum(self, shape, denom, fold):
+        g = make_grid(*shape, TWO_PI, 1.5 * TWO_PI)
+        band = band_layout(g, denom)
+        assert band.fold == fold
+        c = forward_transform(random_field(g, 11)).coeffs
+        compact = band.gather(c)
+        assert compact.shape == (fold[0] + fold[1], fold[2])
+        assert compact.size == np.count_nonzero(band_mask(g, denom))
+        np.testing.assert_array_equal(band.scatter(compact), np.where(band_mask(g, denom), c, 0.0))
+        # gather of the scattered band is the band again, and both are fresh
+        np.testing.assert_array_equal(band.gather(band.scatter(compact)), compact)
+        assert not np.shares_memory(compact, c)
+
+    @pytest.mark.parametrize("shape,denom,fold", LAYOUT_CASES)
+    def test_negative_rows_in_lattice_order(self, shape, denom, fold):
+        g = make_grid(*shape, TWO_PI, TWO_PI)
+        band = band_layout(g, denom)
+        rows = band.gather(np.broadcast_to(g.jx[:, None], (g.nx, g.ny // 2 + 1)))[:, 0]
+        n_pos, n_neg, _ = fold
+        np.testing.assert_array_equal(rows, np.r_[0:n_pos, -n_neg:0])
+
+    def test_cached_per_key_with_read_only_multiplier(self):
+        g = make_grid(48, 32, TWO_PI, TWO_PI)
+        band = band_layout(g, 3)
+        assert band_layout(make_grid(48, 32, TWO_PI, TWO_PI), 3) is band
+        assert band_layout(g, 4) is not band
+        assert band.ixi is band.ixi
+        with pytest.raises(ValueError):
+            band.ixi[0, 0] = 1.0
+        xi1, xi2 = g.mesh_xi()
+        np.testing.assert_array_equal(band.ixi, band.gather(1j * (xi1 + xi2)))
 
 
 class TestFourierWeightCache:

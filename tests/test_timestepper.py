@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from anisoflow import (
     DissipationSpec,
@@ -25,7 +26,8 @@ from anisoflow.config import RandomBlobIC, validate_config
 from anisoflow.errors import BlowUpError
 from anisoflow.norms import lp_norms, parseval_sums
 from anisoflow.run import advance_to
-from anisoflow.spectral import SpectralField, band_mask, fourier_weight
+from anisoflow.spectral import FFT_WORKERS, SpectralField, band_mask, fourier_weight
+from anisoflow.timestepper import _folded_abs2, _ledger_weights
 
 from conftest import TWO_PI, random_field, single_mode_spectrum, spectral_energy
 
@@ -171,6 +173,77 @@ class TestStepNonlinear:
             step_ifrk4(s, 0.0)
 
 
+def full_lattice_step(s: SimState, dt: float) -> tuple[np.ndarray, float]:
+    """Reference flux step with every array on the whole half lattice: the
+    flux input and output and the result are masked to the alias-free band,
+    and the ledger folds the band rows of the full stage arrays."""
+    grid, flux = s.grid, s.flux
+    keep = band_mask(grid, flux.dealias_denom)
+    area = grid.cell_area()
+    xi1, xi2 = grid.mesh_xi()
+
+    def rhs(coeffs):
+        u = scipy.fft.irfft2(np.where(keep, coeffs, 0.0), s=(grid.nx, grid.ny), workers=FFT_WORKERS) / area
+        w_hat = scipy.fft.rfft2(flux(u), workers=FFT_WORKERS) * area
+        return -np.where(keep, 1j * (xi1 + xi2) * w_hat, 0.0)
+
+    m = s.dissipation.symbol
+    c = s.u_hat.coeffs
+    e_full = np.exp(-dt * m)
+    e_half = np.exp(-0.5 * dt * m)
+    fold = n_pos, n_neg, ncols = (int(np.count_nonzero(keep[: grid.nx // 2, 0])),
+                                  int(np.count_nonzero(keep[grid.nx // 2:, 0])),
+                                  int(np.count_nonzero(keep[0])))
+    k1 = dt * rhs(c)
+    stage = e_half * (c + 0.5 * k1)
+    k2 = dt * rhs(stage)
+    mid = _folded_abs2(stage, fold)
+    stage = e_half * c + 0.5 * k2
+    k3 = dt * rhs(stage)
+    mid += _folded_abs2(stage, fold)
+    stage = e_full * c + e_half * k3
+    k4 = dt * rhs(stage)
+    end = _folded_abs2(stage, fold)
+    new = e_full * c + (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4) / 6.0
+    p0, p1, p2 = _ledger_weights(2.0 * dt * m[: max(n_pos, n_neg + 1), :ncols])
+    dissipated = p0 * _folded_abs2(c, fold) + p1 * (0.5 * mid) + p2 * end
+    dissipated = float(np.dot(dissipated.sum(axis=0), grid.column_weight[:ncols])) / grid.area()
+    return np.where(keep, new, 0.0), s.ledger + dissipated
+
+
+class TestBandStep:
+    """The flux step works on the compact band; every retained mode sees the
+    same floating-point operations as on the full lattice."""
+
+    @pytest.mark.parametrize("shape", [(32, 32), (48, 32)])
+    @pytest.mark.parametrize("kappa", [1, 2])
+    @pytest.mark.parametrize("band", [True, False])
+    def test_bit_identical_to_full_lattice_step(self, shape, kappa, band):
+        # band=False leaves energy outside the band, which the step drops
+        grid = make_grid(*shape, TWO_PI, 1.5 * TWO_PI)
+        s = make_state(grid, alpha1=1.5, alpha2=2.0, flux_kappa=kappa, seed=kappa, band=band)
+        s = replace(s, t=0.25, ledger=0.125)
+        outside = ~band_mask(grid, s.flux.dealias_denom)
+        if not band:
+            assert np.max(np.abs(s.u_hat.coeffs[outside])) > 0.1 * np.max(np.abs(s.u_hat.coeffs))
+        for dt in (0.01, 0.05):
+            new, ledger = full_lattice_step(s, dt)
+            out = step_ifrk4(s, dt)
+            assert np.array_equal(out.u_hat.coeffs, new)
+            assert out.ledger == ledger
+            assert np.all(out.u_hat.coeffs[outside] == 0.0)
+            s = out
+
+    def test_nan_inside_band_raises_with_target_time(self, grid32):
+        s = make_state(grid32)
+        coeffs = s.u_hat.coeffs.copy()
+        coeffs[-2, 3] = np.nan  # j = -2, k = 3: inside the kappa=1 band
+        s = replace(s, t=1.5, u_hat=SpectralField(grid32, coeffs))
+        with pytest.raises(BlowUpError) as err:
+            step_ifrk4(s, 0.25)
+        assert err.value.time == 1.75
+
+
 class TestEnergyLedger:
     """The in-step ledger: sum over steps of the dissipation integral."""
 
@@ -284,6 +357,14 @@ class TestCfl:
         u = PhysicalField(g, np.full((8, 8), -3.0))
         assert cfl_dt(u, g, 0.5, 2) == pytest.approx(0.5 * 0.25 / 9.0)
         assert cfl_dt(u, g, 0.5) == cfl_dt(u, g, 0.5, 1) == pytest.approx(0.5 * 0.25 / 3.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_field(self, bad):
+        g = make_grid(8, 8, 1.0, 1.0)
+        values = np.ones((8, 8))
+        values[3, 5] = bad
+        with pytest.raises(ValueError, match="nonfinite"):
+            cfl_dt(PhysicalField(g, values), g, 0.5)
 
     def test_rejects_bad_safety(self):
         g = make_grid(8, 8, 1.0, 1.0)
