@@ -183,16 +183,3 @@ class TestNonlinearTerm:
         coeffs[1, 2] = np.inf  # inside the retained band
         with pytest.raises(NonFiniteStateError):
             nonlinear_coeffs(grid16, band.gather(coeffs), FluxSpec(1))
-
-    def test_takes_and_returns_band_arrays(self, grid32):
-        flux = FluxSpec(1)
-        band = band_layout(grid32, flux.dealias_denom)
-        coeffs = forward_transform(random_field(grid32, 9)).coeffs
-        n = nonlinear_coeffs(grid32, band.gather(coeffs), flux)
-        assert n.shape == (band.n_pos + band.n_neg, band.ncols) == (21, 11)
-        # the band array carries the same modes the full-lattice route keeps
-        u_band = np.fft.irfft2(np.where(band_mask(grid32, 3), coeffs, 0.0), s=(32, 32))
-        w_hat = np.fft.rfft2(flux(u_band / grid32.cell_area())) * grid32.cell_area()
-        xi1, xi2 = grid32.mesh_xi()
-        full = np.where(band_mask(grid32, 3), 1j * (xi1 + xi2) * w_hat, 0.0)
-        np.testing.assert_allclose(band.scatter(n), full, rtol=0, atol=1e-12 * np.max(np.abs(full)))

@@ -198,14 +198,9 @@ class TestBandLayout:
         # gather of the scattered band is the band again, and both are fresh
         np.testing.assert_array_equal(band.gather(band.scatter(compact)), compact)
         assert not np.shares_memory(compact, c)
-
-    @pytest.mark.parametrize("shape,denom,fold", LAYOUT_CASES)
-    def test_negative_rows_in_lattice_order(self, shape, denom, fold):
-        g = make_grid(*shape, TWO_PI, TWO_PI)
-        band = band_layout(g, denom)
-        rows = band.gather(np.broadcast_to(g.jx[:, None], (g.nx, g.ny // 2 + 1)))[:, 0]
-        n_pos, n_neg, _ = fold
-        np.testing.assert_array_equal(rows, np.r_[0:n_pos, -n_neg:0])
+        # rows j >= 0 first, then j < 0 in lattice order, as the ledger fold reads them
+        rows = band.gather(np.broadcast_to(g.jx[:, None], c.shape))[:, 0]
+        np.testing.assert_array_equal(rows, np.r_[0:fold[0], -fold[1]:0])
 
     def test_cached_per_key_with_read_only_multiplier(self):
         g = make_grid(48, 32, TWO_PI, TWO_PI)
