@@ -24,7 +24,7 @@ from anisoflow import (
     sample_times,
     theoretical_exponent,
 )
-from anisoflow.cli import _parse_window
+from anisoflow.cli import parse_window
 from anisoflow.config import validate_config
 
 
@@ -96,7 +96,7 @@ def main() -> None:
     p.add_argument("--t-end", type=float, default=100.0)
     p.add_argument("--sample-every", type=float, default=0.5)
     p.add_argument("--cfl-safety", type=float, default=0.5)
-    p.add_argument("--window", default="10,100", type=_parse_window, help="lo,hi")
+    p.add_argument("--window", default="10,100", type=parse_window, help="lo,hi")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--linear", action="store_true", help="disable the nonlinearity")
     p.add_argument("--csv", default="", help="optional timeseries output path")

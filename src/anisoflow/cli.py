@@ -31,7 +31,8 @@ def _parse_space(raw: str) -> tuple[str, int | None]:
     raise argparse.ArgumentTypeError(f"must be l2 or hg:<gamma>, got {raw!r}")
 
 
-def _parse_window(raw: str) -> tuple[float, float]:
+def parse_window(raw: str) -> tuple[float, float]:
+    """`lo,hi` -> the (lo, hi) fit window; shared with the decay script."""
     try:
         lo, hi = (float(p) for p in raw.split(","))
     except ValueError:
@@ -196,7 +197,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("analyze", help="fit a power law to a norm history")
     p.add_argument("csv")
     p.add_argument("--quantity", default="l2", type=_parse_space, help="l2 or hg:<gamma>")
-    p.add_argument("--window", required=True, type=_parse_window, help="lo,hi")
+    p.add_argument("--window", required=True, type=parse_window, help="lo,hi")
     p.add_argument("--alphas", default="", help="optional, for the theoretical rate")
     p.set_defaults(func=_cmd_analyze)
 

@@ -12,7 +12,7 @@ from .freqsplit import CutoffSpec
 from .io import checkpoint_write, write_timeseries
 from .norms import NormSample, record
 from .operators import DissipationSpec, FluxSpec
-from .spectral import GridSpec, PhysicalField, band_mask, forward_transform, inverse_transform
+from .spectral import GridSpec, PhysicalField, band_layout, forward_transform, inverse_transform
 from .timestepper import SimState, cfl_dt, step_ifrk4
 
 _SNAP_TOL = 1e-9
@@ -66,8 +66,8 @@ def initial_state(cfg: RunConfig) -> SimState:
     flux = FluxSpec(cfg.kappa) if cfg.nonlinearity_enabled else None
     u_hat = forward_transform(synthesize_ic(cfg, grid))
     if flux is not None:
-        # the transform returned a fresh array, so truncate it in place
-        u_hat.coeffs[~band_mask(grid, flux.dealias_denom)] = 0.0
+        band = band_layout(grid, flux.dealias_denom)
+        u_hat = replace(u_hat, coeffs=band.scatter(band.gather(u_hat.coeffs)))
     return SimState(t=0.0, u_hat=u_hat, dissipation=dissipation, flux=flux)
 
 

@@ -1,5 +1,5 @@
 """Periodic grid, discrete Fourier transform conventions, Fourier weights
-and the alias-free band, as a mask and as a compact layout.
+and the alias-free band as a compact layout.
 
 Every field is real, so a spectrum is stored on the half lattice of
 scipy.fft.rfft2, shape (nx, ny//2 + 1): the coefficient at -xi is the
@@ -20,7 +20,9 @@ xi2[k] = 2*pi*k/ly >= 0.
 The flux step only ever holds modes inside the alias-free band, so it works
 on band arrays (band_layout): the retained rows and columns of the half
 lattice packed into one smaller array, gathered from and scattered back to
-the half lattice once per step.
+the half lattice once per step.  The layout is the one owner of the band's
+row order: truncation to the band and the fold onto |j| that the energy
+ledger sums over both go through it.
 """
 
 from __future__ import annotations
@@ -190,24 +192,6 @@ def inverse_transform(v: SpectralField) -> PhysicalField:
     return PhysicalField(g, values)
 
 
-@lru_cache(maxsize=32)
-def _band_mask_cached(grid: GridSpec, denom: int) -> np.ndarray:
-    keep_x = denom * np.abs(grid.jx) < grid.nx
-    keep_y = denom * np.abs(grid.jy) < grid.ny
-    return _readonly(keep_x[:, None] & keep_y[None, :])
-
-
-def band_mask(grid: GridSpec, denom: int) -> np.ndarray:
-    """Half-lattice keep-mask for modes with |j_tilde| < nx/denom and
-    k < ny/denom.
-
-    Integer arithmetic, so the band edge is exact.  The edge mode is dropped
-    when denom divides the grid size, which keeps degree-(denom-1) products
-    alias-free on every grid.
-    """
-    return _band_mask_cached(grid, int(denom))
-
-
 @dataclass(frozen=True)
 class BandLayout:
     """The alias-free band of one (grid, denom), stored compactly.
@@ -216,7 +200,8 @@ class BandLayout:
     and its last n_neg rows (j < 0); the retained columns are its first
     ncols.  A band array stacks those rows, j >= 0 first, into shape
     (n_pos + n_neg, ncols), so its last n_neg rows are the j < 0 ones in
-    lattice order.
+    lattice order.  For denom = 1 every mode is kept and a band array is
+    the half lattice itself.
     """
 
     grid: GridSpec
@@ -225,8 +210,10 @@ class BandLayout:
     ncols: int
 
     @property
-    def fold(self) -> tuple[int, int, int]:
-        return self.n_pos, self.n_neg, self.ncols
+    def n_folded(self) -> int:
+        """Rows |j| = 0 .. n_folded - 1 of the band folded onto |j|; for
+        denom = 1 the last is the Nyquist row |j| = nx/2."""
+        return max(self.n_pos, self.n_neg + 1)
 
     @cached_property
     def ixi(self) -> np.ndarray:
@@ -248,15 +235,30 @@ class BandLayout:
         out[self.grid.nx - self.n_neg:, : self.ncols] = b[self.n_pos:]
         return out
 
+    def folded_abs2(self, b: np.ndarray) -> np.ndarray:
+        """|b|^2 of a band array with rows j and -j summed onto row |j|,
+        shape (n_folded, ncols): the first n_folded rows and ncols columns
+        of the half lattice, where an array even in j is fully known."""
+        out = np.zeros((self.n_folded, self.ncols))
+        for rows, dest in ((b[: self.n_pos], out[: self.n_pos]),
+                           (b[: -self.n_neg - 1: -1], out[1: self.n_neg + 1])):
+            dest += rows.real ** 2
+            dest += rows.imag ** 2
+        return out
+
 
 @lru_cache(maxsize=32)
 def band_layout(grid: GridSpec, denom: int) -> BandLayout:
-    """The band kept by band_mask(grid, denom) as a BandLayout, built once
-    per (grid, denom)."""
-    keep = band_mask(grid, denom)
-    n_pos = int(np.count_nonzero(keep[: grid.nx // 2, 0]))
-    n_neg = int(np.count_nonzero(keep[grid.nx // 2:, 0]))
-    return BandLayout(grid, n_pos, n_neg, int(np.count_nonzero(keep[0])))
+    """The alias-free band |j_tilde| < nx/denom, k < ny/denom as a
+    BandLayout, built once per (grid, denom).
+
+    Integer arithmetic, so the band edge is exact.  The edge mode is dropped
+    when denom divides the grid size, which keeps degree-(denom-1) products
+    alias-free on every grid.
+    """
+    keep_x = denom * np.abs(grid.jx) < grid.nx
+    n_pos, n_neg = (int(np.count_nonzero(h)) for h in np.split(keep_x, 2))
+    return BandLayout(grid, n_pos, n_neg, int(np.count_nonzero(denom * grid.jy < grid.ny)))
 
 
 @lru_cache(maxsize=32)

@@ -79,30 +79,30 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
     Exact on the linear part for any dt.  With the flux enabled the step
     works on the alias-free band only (band_layout): the state and the
     symbol are gathered onto it once, every stage lives there, and the
-    result is scattered back with everything outside the band zeroed, so
-    the modes outside the band are never read.  A nonfinite value in the
-    band, or one arising during the step, raises BlowUpError carrying the
-    time the step was aiming for.  The step's dissipation integral, over
-    the retained band, is added to the ledger (see _ledger_weights); it
-    only reads the stage arrays, so u_hat does not depend on it.
+    result is scattered back with everything outside the band zeroed.  A
+    nonfinite value anywhere in the input state, or one arising during the
+    step, raises BlowUpError carrying the time the step was aiming for.
+    The step's dissipation integral, over the retained band, is added to
+    the ledger (see _ledger_weights); it only reads the stage arrays, so
+    u_hat does not depend on it.
     """
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     grid = s.grid
+    # the ledger weights need the even symbol on the band folded onto |j|
+    band = band_layout(grid, 1 if s.flux is None else s.flux.dealias_denom)
+    m_kept = s.dissipation.symbol[: band.n_folded, : band.ncols]
     if s.flux is None:
-        m = s.dissipation.symbol
-        c = s.u_hat.coeffs
-        new = np.exp(-dt * m) * c
-        fold, m_kept, mult = _quadrant(s.dissipation, 1)
+        new = linear_exact(s.u_hat, s.dissipation, dt).coeffs
         # exact for the free decay: 0.5*|c|^2*(1 - exp(-2*m*dt)) per mode
-        dissipated = -0.5 * np.expm1(-2.0 * dt * m_kept) * _folded_abs2(c, fold)
+        dissipated = -0.5 * np.expm1(-2.0 * dt * m_kept) * band.folded_abs2(s.u_hat.coeffs)
     else:
-        band = band_layout(grid, s.flux.dealias_denom)
+        if not np.all(np.isfinite(s.u_hat.coeffs)):
+            raise BlowUpError(s.t + dt, f"nonfinite state entering step to t={s.t + dt:.6g}")
         m = band.gather(s.dissipation.symbol)
         c = band.gather(s.u_hat.coeffs)
         e_full = np.exp(-dt * m)
         e_half = np.exp(-0.5 * dt * m)
-        fold, m_kept, mult = _quadrant(s.dissipation, s.flux.dealias_denom)
 
         def rhs(coeffs):
             return -nonlinear_coeffs(grid, coeffs, s.flux)
@@ -113,55 +113,25 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
             k1 = dt * rhs(c)
             stage = e_half * (c + 0.5 * k1)
             k2 = dt * rhs(stage)
-            mid = _folded_abs2(stage, fold)
+            mid = band.folded_abs2(stage)
             stage = e_half * c + 0.5 * k2
             k3 = dt * rhs(stage)
-            mid += _folded_abs2(stage, fold)
+            mid += band.folded_abs2(stage)
             stage = e_full * c + e_half * k3
             k4 = dt * rhs(stage)
         except NonFiniteStateError as exc:
             raise BlowUpError(s.t + dt, f"blow-up during step to t={s.t + dt:.6g}: {exc}") from exc
-        end = _folded_abs2(stage, fold)
+        end = band.folded_abs2(stage)
         del stage
         new = e_full * c + (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4) / 6.0
         p0, p1, p2 = _ledger_weights(2.0 * dt * m_kept)
-        dissipated = p0 * _folded_abs2(c, fold) + p1 * (0.5 * mid) + p2 * end
-    dissipated = float(np.dot(dissipated.sum(axis=0), mult)) / grid.area()
+        dissipated = p0 * band.folded_abs2(c) + p1 * (0.5 * mid) + p2 * end
+    dissipated = float(np.dot(dissipated.sum(0), grid.column_weight[: band.ncols])) / grid.area()
     if not (np.all(np.isfinite(new)) and np.isfinite(dissipated)):
         raise BlowUpError(s.t + dt)
     if s.flux is not None:
         new = band.scatter(new)
     return replace(s, t=s.t + dt, u_hat=SpectralField(grid, new), ledger=s.ledger + dissipated)
-
-
-def _quadrant(d: DissipationSpec, denom: int):
-    """Fold of the retained band (every mode for denom=1) onto j, k >= 0.
-
-    The symbol is even in j, so the ledger weights need only the rows
-    j >= 0 of the half lattice.  Returns the fold of band_layout(grid,
-    denom) (numbers of retained rows with j >= 0 and with j < 0, number of
-    retained columns), the symbol on the quadrant, and each column's
-    multiplicity, grid.column_weight.
-    """
-    g = d.grid
-    n_pos, n_neg, ncols = fold = band_layout(g, denom).fold
-    # rows j and -j share the symbol; the last row may be the Nyquist row
-    # j = -nx/2, which sits at index nx/2 itself
-    return fold, d.symbol[: max(n_pos, n_neg + 1), :ncols], g.column_weight[:ncols]
-
-
-def _folded_abs2(a: np.ndarray, fold: tuple[int, int, int]) -> np.ndarray:
-    """|a|^2 on the retained band, rows j and -j summed onto row |j|.
-
-    a is a half-lattice array or a band array of the same fold: either way
-    its first n_pos rows are j >= 0 and its last n_neg rows are j < 0.
-    """
-    n_pos, n_neg, ncols = fold
-    out = np.zeros((max(n_pos, n_neg + 1), ncols))
-    for rows, dest in ((a[:n_pos, :ncols], out[:n_pos]), (a[: -n_neg - 1: -1, :ncols], out[1: n_neg + 1])):
-        dest += rows.real ** 2
-        dest += rows.imag ** 2
-    return out
 
 
 def _ledger_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anisoflow import GridSpec, PhysicalField
-from anisoflow.spectral import SpectralField, band_mask
+from anisoflow.spectral import SpectralField
 
 TWO_PI = 2.0 * np.pi
 
@@ -17,13 +17,20 @@ def grid32():
     return GridSpec(32, 32, TWO_PI, TWO_PI)
 
 
+def keep_mask(grid: GridSpec, denom: int) -> np.ndarray:
+    """Reference half-lattice mask of the alias-free band, |j_tilde| < nx/denom
+    and k < ny/denom, built from the lattice indices alone and not from the
+    package's band layout."""
+    return (denom * np.abs(grid.jx) < grid.nx)[:, None] & (denom * grid.jy < grid.ny)[None, :]
+
+
 def random_field(grid: GridSpec, seed: int, band_denom: int | None = None) -> PhysicalField:
     """Random real field, optionally truncated to an alias-free band."""
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((grid.nx, grid.ny))
     if band_denom is not None:
         c = np.fft.rfft2(values)
-        values = np.fft.irfft2(np.where(band_mask(grid, band_denom), c, 0.0),
+        values = np.fft.irfft2(np.where(keep_mask(grid, band_denom), c, 0.0),
                                s=values.shape)
     return PhysicalField(grid, values)
 

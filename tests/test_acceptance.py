@@ -285,10 +285,10 @@ class TestCriterion9:
         d = DissipationSpec(grid, 1.5, 2.0)
         rng = np.random.default_rng(3)
         values = rng.standard_normal((32, 32))
-        from anisoflow.spectral import band_mask
+        from conftest import keep_mask
 
         c = np.fft.rfft2(values)
-        values = np.fft.irfft2(np.where(band_mask(grid, 3), c, 0.0), s=values.shape)
+        values = np.fft.irfft2(np.where(keep_mask(grid, 3), c, 0.0), s=values.shape)
         s0 = SimState(0.0, forward_transform(PhysicalField(grid, values)), d, FluxSpec(1))
         t_end = 0.1
 

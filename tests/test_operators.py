@@ -11,9 +11,9 @@ from anisoflow import (
 from anisoflow.errors import NonFiniteStateError
 from anisoflow.norms import lp_norms, parseval_sums
 from anisoflow.operators import nonlinear_coeffs
-from anisoflow.spectral import SpectralField, band_layout, band_mask, fourier_weight
+from anisoflow.spectral import SpectralField, band_layout, fourier_weight
 
-from conftest import random_field, single_mode_spectrum
+from conftest import keep_mask, random_field, single_mode_spectrum
 
 
 class TestDissipationSpec:
@@ -170,7 +170,7 @@ class TestNonlinearTerm:
     def test_result_is_dealiased(self, grid16):
         u = random_field(grid16, 7)
         n = flux_divergence(u, FluxSpec(1))
-        assert np.all(n.coeffs[~band_mask(grid16, 3)] == 0.0)
+        assert np.all(n.coeffs[~keep_mask(grid16, 3)] == 0.0)
 
     def test_overflow_raises_nonfinite_error(self, grid16):
         u = PhysicalField(grid16, np.full((16, 16), 3e160))

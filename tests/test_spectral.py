@@ -12,9 +12,9 @@ from anisoflow import (
     make_grid,
 )
 from anisoflow.norms import lp_norms
-from anisoflow.spectral import SpectralField, band_layout, band_mask, fourier_weight
+from anisoflow.spectral import SpectralField, band_layout, fourier_weight
 
-from conftest import TWO_PI, cosine_field, random_field, single_mode_spectrum, spectral_energy
+from conftest import TWO_PI, cosine_field, keep_mask, random_field, single_mode_spectrum, spectral_energy
 
 
 class TestMakeGrid:
@@ -135,8 +135,9 @@ class TestTransforms:
 
 
 def truncate(v: SpectralField, denom: int = 3) -> np.ndarray:
-    """Truncation to the alias-free band, as the flux and the stepper apply it."""
-    return np.where(band_mask(v.grid, denom), v.coeffs, 0.0)
+    """Truncation to the alias-free band, as initial_state applies it."""
+    band = band_layout(v.grid, denom)
+    return band.scatter(band.gather(v.coeffs))
 
 
 class TestDealias:
@@ -162,16 +163,14 @@ class TestDealias:
         once = truncate(v)
         twice = truncate(SpectralField(grid16, once))
         np.testing.assert_array_equal(once, twice)
-        # one cached, read-only mask per (grid, denom)
-        assert band_mask(grid16, 3) is band_mask(grid16, 3)
-        assert not band_mask(grid16, 3).flags.writeable
 
     def test_strict_drops_the_edge_mode(self, grid16):
         # denom 4 divides nx=16: |j| = 4 sits on the band edge and is dropped
-        keep = band_mask(grid16, 4)
-        assert not (keep[4, 0] or keep[-4, 0] or keep[0, 4])
-        assert keep[3, 3] and keep[-3, 3]
-        assert keep.shape == (16, 9)
+        for kx, ky in ((4, 0), (0, 4)):
+            assert np.all(truncate(single_mode_spectrum(grid16, kx, ky), 4) == 0.0)
+        for kx in (3, -3):
+            v = single_mode_spectrum(grid16, kx, 3)
+            np.testing.assert_array_equal(truncate(v, 4), v.coeffs)
 
 
 # 4 divides 48 and 32, so the edge modes j = +-12 and k = 8 are dropped;
@@ -189,18 +188,36 @@ class TestBandLayout:
     def test_round_trip_is_the_masked_spectrum(self, shape, denom, fold):
         g = make_grid(*shape, TWO_PI, 1.5 * TWO_PI)
         band = band_layout(g, denom)
-        assert band.fold == fold
+        assert (band.n_pos, band.n_neg, band.ncols) == fold
         c = forward_transform(random_field(g, 11)).coeffs
         compact = band.gather(c)
         assert compact.shape == (fold[0] + fold[1], fold[2])
-        assert compact.size == np.count_nonzero(band_mask(g, denom))
-        np.testing.assert_array_equal(band.scatter(compact), np.where(band_mask(g, denom), c, 0.0))
+        assert compact.size == np.count_nonzero(keep_mask(g, denom))
+        np.testing.assert_array_equal(band.scatter(compact), np.where(keep_mask(g, denom), c, 0.0))
         # gather of the scattered band is the band again, and both are fresh
         np.testing.assert_array_equal(band.gather(band.scatter(compact)), compact)
         assert not np.shares_memory(compact, c)
         # rows j >= 0 first, then j < 0 in lattice order, as the ledger fold reads them
         rows = band.gather(np.broadcast_to(g.jx[:, None], c.shape))[:, 0]
         np.testing.assert_array_equal(rows, np.r_[0:fold[0], -fold[1]:0])
+
+    @pytest.mark.parametrize("denom", [1, 3, 4])
+    def test_fold_sums_rows_j_and_minus_j(self, denom):
+        g = make_grid(48, 32, TWO_PI, 1.5 * TWO_PI)
+        band = band_layout(g, denom)
+        c = forward_transform(random_field(g, 13)).coeffs
+        if denom == 1:
+            # the flux-free step folds the half lattice through this layout
+            np.testing.assert_array_equal(band.gather(c), c)
+            assert band.n_folded == g.nx // 2 + 1
+        abs2 = np.abs(np.where(keep_mask(g, denom), c, 0.0)) ** 2
+        folded = band.folded_abs2(band.gather(c))
+        assert folded.shape == (band.n_folded, band.ncols)
+        for j in range(band.n_folded):
+            # j = 0 and the Nyquist row j = -nx/2 have no partner
+            rows = np.flatnonzero(np.abs(g.jx) == j)
+            expected = abs2[rows, : band.ncols].sum(axis=0)
+            np.testing.assert_allclose(folded[j], expected, rtol=1e-14)
 
     def test_cached_per_key_with_read_only_multiplier(self):
         g = make_grid(48, 32, TWO_PI, TWO_PI)

@@ -26,10 +26,10 @@ from anisoflow.config import RandomBlobIC, validate_config
 from anisoflow.errors import BlowUpError
 from anisoflow.norms import lp_norms, parseval_sums
 from anisoflow.run import advance_to
-from anisoflow.spectral import FFT_WORKERS, SpectralField, band_mask, fourier_weight
-from anisoflow.timestepper import _folded_abs2, _ledger_weights
+from anisoflow.spectral import FFT_WORKERS, SpectralField, fourier_weight
+from anisoflow.timestepper import _ledger_weights
 
-from conftest import TWO_PI, random_field, single_mode_spectrum, spectral_energy
+from conftest import TWO_PI, keep_mask, random_field, single_mode_spectrum, spectral_energy
 
 
 def make_state(grid, alpha1=2.0, alpha2=2.0, flux_kappa=1, seed=0, band=True):
@@ -178,7 +178,7 @@ def full_lattice_step(s: SimState, dt: float) -> tuple[np.ndarray, float]:
     flux input and output and the result are masked to the alias-free band,
     and the ledger folds the band rows of the full stage arrays."""
     grid, flux = s.grid, s.flux
-    keep = band_mask(grid, flux.dealias_denom)
+    keep = keep_mask(grid, flux.dealias_denom)
     area = grid.cell_area()
     xi1, xi2 = grid.mesh_xi()
 
@@ -191,22 +191,31 @@ def full_lattice_step(s: SimState, dt: float) -> tuple[np.ndarray, float]:
     c = s.u_hat.coeffs
     e_full = np.exp(-dt * m)
     e_half = np.exp(-0.5 * dt * m)
-    fold = n_pos, n_neg, ncols = (int(np.count_nonzero(keep[: grid.nx // 2, 0])),
-                                  int(np.count_nonzero(keep[grid.nx // 2:, 0])),
-                                  int(np.count_nonzero(keep[0])))
+    n_pos, n_neg, ncols = (int(np.count_nonzero(keep[: grid.nx // 2, 0])),
+                           int(np.count_nonzero(keep[grid.nx // 2:, 0])),
+                           int(np.count_nonzero(keep[0])))
+
+    def folded_abs2(a):
+        # rows j and -j of the band summed onto row |j|
+        out = np.zeros((max(n_pos, n_neg + 1), ncols))
+        for rows, dest in ((a[:n_pos, :ncols], out[:n_pos]), (a[: -n_neg - 1: -1, :ncols], out[1: n_neg + 1])):
+            dest += rows.real ** 2
+            dest += rows.imag ** 2
+        return out
+
     k1 = dt * rhs(c)
     stage = e_half * (c + 0.5 * k1)
     k2 = dt * rhs(stage)
-    mid = _folded_abs2(stage, fold)
+    mid = folded_abs2(stage)
     stage = e_half * c + 0.5 * k2
     k3 = dt * rhs(stage)
-    mid += _folded_abs2(stage, fold)
+    mid += folded_abs2(stage)
     stage = e_full * c + e_half * k3
     k4 = dt * rhs(stage)
-    end = _folded_abs2(stage, fold)
+    end = folded_abs2(stage)
     new = e_full * c + (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4) / 6.0
     p0, p1, p2 = _ledger_weights(2.0 * dt * m[: max(n_pos, n_neg + 1), :ncols])
-    dissipated = p0 * _folded_abs2(c, fold) + p1 * (0.5 * mid) + p2 * end
+    dissipated = p0 * folded_abs2(c) + p1 * (0.5 * mid) + p2 * end
     dissipated = float(np.dot(dissipated.sum(axis=0), grid.column_weight[:ncols])) / grid.area()
     return np.where(keep, new, 0.0), s.ledger + dissipated
 
@@ -223,7 +232,7 @@ class TestBandStep:
         grid = make_grid(*shape, TWO_PI, 1.5 * TWO_PI)
         s = make_state(grid, alpha1=1.5, alpha2=2.0, flux_kappa=kappa, seed=kappa, band=band)
         s = replace(s, t=0.25, ledger=0.125)
-        outside = ~band_mask(grid, s.flux.dealias_denom)
+        outside = ~keep_mask(grid, s.flux.dealias_denom)
         if not band:
             assert np.max(np.abs(s.u_hat.coeffs[outside])) > 0.1 * np.max(np.abs(s.u_hat.coeffs))
         for dt in (0.01, 0.05):
@@ -238,6 +247,17 @@ class TestBandStep:
         s = make_state(grid32)
         coeffs = s.u_hat.coeffs.copy()
         coeffs[-2, 3] = np.nan  # j = -2, k = 3: inside the kappa=1 band
+        s = replace(s, t=1.5, u_hat=SpectralField(grid32, coeffs))
+        with pytest.raises(BlowUpError) as err:
+            step_ifrk4(s, 0.25)
+        assert err.value.time == 1.75
+
+    def test_nan_outside_band_raises_with_target_time(self, grid32):
+        # the step reads only the band, so this mode would be dropped unseen
+        s = make_state(grid32)
+        coeffs = s.u_hat.coeffs.copy()
+        coeffs[15, 3] = np.nan  # j = 15: outside the kappa=1 band |j| < 32/3
+        assert not keep_mask(grid32, s.flux.dealias_denom)[15, 3]
         s = replace(s, t=1.5, u_hat=SpectralField(grid32, coeffs))
         with pytest.raises(BlowUpError) as err:
             step_ifrk4(s, 0.25)
@@ -321,7 +341,7 @@ class TestEnergyLedger:
             nonlinearity_enabled=True, timeseries_path="", checkpoint_path="",
         )
         validate_config(cfg)
-        outside = ~band_mask(make_grid(64, 64, TWO_PI, TWO_PI), 4)
+        outside = ~keep_mask(make_grid(64, 64, TWO_PI, TWO_PI), 4)
         assert np.all(initial_state(cfg).u_hat.coeffs[outside] == 0.0)
         linear = initial_state(replace(cfg, nonlinearity_enabled=False))
         assert np.any(linear.u_hat.coeffs[outside] != 0.0)
