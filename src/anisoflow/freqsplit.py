@@ -16,7 +16,7 @@ import numpy as np
 from .operators import DissipationSpec
 
 
-def chi0(s):
+def chi0(s, out=None):
     """C-infinity bump profile: 1 on [0, 1], 0 on [2, inf), bridged between.
 
     The bridge is the standard partition-of-unity quotient
@@ -24,16 +24,22 @@ def chi0(s):
     so endpoint values are exact and all derivatives vanish there.
     Accepts scalars or arrays; monotonically nonincreasing.  Only the
     bridge 1 < s < 2 needs phi: both its arguments are positive there, and
-    the quotient is exactly 1 or 0 off it.
+    the quotient is exactly 1 or 0 off it.  The result is fresh, or written
+    into out, a float array of the shape of s that may be s itself.
     """
     s_arr = np.asarray(s, dtype=np.float64)
     if np.any(s_arr < 0.0):
         raise ValueError("chi0 argument must be >= 0")
-    out = np.where(s_arr >= 2.0, 0.0, 1.0)
     bridge = (s_arr > 1.0) & (s_arr < 2.0)
     sb = s_arr[bridge]
     a = np.exp(-1.0 / (2.0 - sb))
     b = np.exp(-1.0 / (sb - 1.0))
+    beyond = s_arr >= 2.0
+    # s is read in full before out, which may be s, is written
+    if out is None:
+        out = np.empty_like(s_arr)
+    out[...] = 1.0
+    out[beyond] = 0.0
     out[bridge] = a / (a + b)
     if np.ndim(s) == 0:
         return float(out)
@@ -60,6 +66,8 @@ class CutoffSpec:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
     def symbol(self, t: float, d: DissipationSpec) -> np.ndarray:
-        """Cutoff multiplier chi0(mu^-1*(1+t)*m) over the lattice."""
-        return chi0((1.0 + t) / self.mu * d.symbol)
+        """Cutoff multiplier chi0(mu^-1*(1+t)*m) over the lattice, fresh;
+        built in place over its own argument array."""
+        arg = (1.0 + t) / self.mu * d.symbol
+        return chi0(arg, out=arg)
 

@@ -4,6 +4,12 @@ Physical L^p norms use grid quadrature (spectrally accurate for smooth
 periodic integrands) through lp_norms; every L^2-based seminorm is one
 weight of parseval_sums on the quadrature-weighted coefficients, so the
 two routes agree to roundoff.
+
+Both primitives, and record, build their temporaries (|u| and its powers,
+|coeffs|^2, each weighted product and its column sums, the (1 - chi)^2
+weight) in the calling thread's spectral.workspace of the grid instead of
+allocating them per call; they return floats, so nothing they return
+aliases it.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freqsplit import CutoffSpec
-from .spectral import PhysicalField, SpectralField, fourier_weight, inverse_transform
+from .spectral import PhysicalField, SpectralField, fourier_weight, inverse_transform, workspace
 from .timestepper import SimState
 
 _SUPPORTED_P = (1, 2, 4, np.inf)
@@ -61,10 +67,18 @@ def lp_norms(u: PhysicalField, ps) -> list[float]:
     for p in ps:
         if p not in _SUPPORTED_P:
             raise ValueError(f"unsupported p={p}; monitored set is {{1, 2, 4, inf}}")
-    a = np.abs(u.values)
+    ws = workspace(u.grid)
+    a = np.abs(u.values, out=ws.abs_u)
     cell = u.grid.cell_area()
-    return [float(a.max()) if p == np.inf else float((np.sum(a ** p) * cell) ** (1.0 / p))
-            for p in ps]
+    norms = []
+    for p in ps:
+        if p == np.inf:
+            norms.append(float(a.max()))
+        else:
+            # np.power(a, p) has the bits of a ** p; a itself for p = 1
+            ap = a if p == 1 else np.power(a, p, out=ws.power)
+            norms.append(float((np.sum(ap) * cell) ** (1.0 / p)))
+    return norms
 
 
 def parseval_sums(v: SpectralField, weights) -> list[float]:
@@ -72,10 +86,14 @@ def parseval_sums(v: SpectralField, weights) -> list[float]:
     each weight, from one |coeffs|^2: the L^2 norm of the multiplier
     weight^(1/2) applied to v, by Parseval.  The half lattice's columns
     enter with grid.column_weight."""
-    abs2 = np.abs(v.coeffs) ** 2
     g = v.grid
-    return [float(np.sqrt(np.dot(np.sum(w * abs2, axis=0), g.column_weight) / g.area()))
-            for w in weights]
+    ws = workspace(g)
+    abs2 = np.square(np.abs(v.coeffs, out=ws.abs2), out=ws.abs2)
+    sums = []
+    for w in weights:
+        columns = np.sum(np.multiply(w, abs2, out=ws.product), axis=0, out=ws.columns)
+        sums.append(float(np.sqrt(np.dot(columns, g.column_weight) / g.area())))
+    return sums
 
 
 def record(s: SimState, c: CutoffSpec, gammas: list[int]) -> NormSample:
@@ -84,15 +102,17 @@ def record(s: SimState, c: CutoffSpec, gammas: list[int]) -> NormSample:
     One |u| serves the four L^p norms and one |u_hat|^2 every Parseval sum:
     the H^gamma and dissipation seminorms, and ||uL||_2, ||uH||_2 of the
     low/high split as the weights chi^2 and (1 - chi)^2 of the cutoff
-    chi = c.symbol(t, d), without building uL or uH.
+    chi = c.symbol(t, d), without building uL or uH.  The field is dropped
+    once its norms are taken, before chi is built, and both split weights
+    are built in place: chi^2 over chi, (1 - chi)^2 in the workspace.
     """
-    u = inverse_transform(s.u_hat)
-    l1, l2, l4, linf = lp_norms(u, _SUPPORTED_P)
+    l1, l2, l4, linf = lp_norms(inverse_transform(s.u_hat), _SUPPORTED_P)
     g, d = s.u_hat.grid, s.dissipation
     chi = c.symbol(s.t, d)
+    high = np.subtract(1.0, chi, out=workspace(g).weight)
     weights = [fourier_weight(g, 2.0 * gamma) for gamma in gammas]
     weights += [fourier_weight(g, d.alpha1, "x"), fourier_weight(g, d.alpha2, "y"),
-                chi * chi, (1.0 - chi) ** 2]
+                np.square(chi, out=chi), np.square(high, out=high)]
     *hg, diss_x, diss_y, ul_l2, uh_l2 = parseval_sums(s.u_hat, weights)
     return NormSample(
         t=s.t,

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from .errors import NonFiniteStateError
-from .spectral import FFT_WORKERS, GridSpec, band_layout, fourier_weight
+from .spectral import FFT_WORKERS, GridSpec, band_layout, fourier_weight, workspace
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,12 @@ class FluxSpec:
         """Band denominator making degree-(kappa+1) products alias-free."""
         return self.kappa + 2
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
+    def __call__(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """f(u), fresh or into out (which may be u itself)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return u ** (self.kappa + 1) / (self.kappa + 1)
+            w = np.power(u, self.kappa + 1, out=out)
+            w /= self.kappa + 1
+            return w
 
 
 def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec) -> np.ndarray:
@@ -64,13 +67,17 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec) -> np.n
     alias-free band before the pointwise power is taken, and the result is
     kept on the band only, so the monomial products are exact on the
     retained modes.  The zero mode vanishes identically: the flux is in
-    divergence form.
+    divergence form.  The band is scattered into the thread's workspace
+    lattice (spectral.workspace), whose entries outside the band stay zero;
+    the flux power and both area scalings are taken in place, so a call
+    allocates only the two FFT outputs, the result and the finiteness mask.
     """
     band = band_layout(grid, flux.dealias_denom)
     area = grid.cell_area()
-    u_band = _fft.irfft2(band.scatter(coeffs), s=(grid.nx, grid.ny), workers=FFT_WORKERS)
+    lattice = band.scatter(coeffs, out=workspace(grid).band_lattice(band))
+    u_band = _fft.irfft2(lattice, s=(grid.nx, grid.ny), workers=FFT_WORKERS)
     u_band /= area
-    w = flux(u_band)
+    w = flux(u_band, out=u_band)
     if not np.all(np.isfinite(w)):
         raise NonFiniteStateError(
             f"overflow evaluating flux power u^{flux.kappa + 1}"

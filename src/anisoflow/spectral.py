@@ -23,10 +23,20 @@ lattice packed into one smaller array, gathered from and scattered back to
 the half lattice once per step.  The layout is the one owner of the band's
 row order: truncation to the band and the fold onto |j| that the energy
 ledger sums over both go through it.
+
+The hot per-call temporaries of the norms and of the flux right-hand side
+are 1-2 MB each at 512^2.  Allocated afresh on every call, they went back
+to the operating system after each call and were faulted in again on the
+next.  So they live in a Workspace instead: preallocated arrays of one
+grid, one workspace per grid and per thread (workspace), at most
+WORKSPACE_GRIDS grids per thread.  A workspace array is overwritten by the
+next call that uses it, so nothing a function returns is, or views, one of
+them.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -38,6 +48,9 @@ import scipy.fft as _fft
 FFT_WORKERS = 2
 
 _MIN_POINTS = 8
+
+#: Grids whose Workspace one thread keeps; the least recently used goes first.
+WORKSPACE_GRIDS = 4
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -188,7 +201,8 @@ def forward_transform(u: PhysicalField) -> SpectralField:
 def inverse_transform(v: SpectralField) -> PhysicalField:
     """Half-lattice Fourier coefficients -> real samples."""
     g = v.grid
-    values = _fft.irfft2(v.coeffs, s=(g.nx, g.ny), workers=FFT_WORKERS) / g.cell_area()
+    values = _fft.irfft2(v.coeffs, s=(g.nx, g.ny), workers=FFT_WORKERS)
+    values /= g.cell_area()
     return PhysicalField(g, values)
 
 
@@ -228,9 +242,14 @@ class BandLayout:
         out[self.n_pos:] = a[self.grid.nx - self.n_neg:, : self.ncols]
         return out
 
-    def scatter(self, b: np.ndarray) -> np.ndarray:
-        """Band array -> fresh half-lattice array, zero outside the band."""
-        out = np.zeros((self.grid.nx, self.grid.ny // 2 + 1), dtype=b.dtype)
+    def scatter(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Band array -> half-lattice array, zero outside the band.
+
+        The result is fresh, or out when given: a half-lattice array that
+        is already zero outside the band, whose band entries are overwritten.
+        """
+        if out is None:
+            out = np.zeros((self.grid.nx, self.grid.ny // 2 + 1), dtype=b.dtype)
         out[: self.n_pos, : self.ncols] = b[: self.n_pos]
         out[self.grid.nx - self.n_neg:, : self.ncols] = b[self.n_pos:]
         return out
@@ -245,6 +264,69 @@ class BandLayout:
             dest += rows.real ** 2
             dest += rows.imag ** 2
         return out
+
+
+class Workspace:
+    """Scratch arrays of one grid for one thread; see workspace.
+
+    The real arrays and the half-lattice ones are views of one flat array
+    of 2*nx*ny floats, so they overlap: abs_u and power are used only
+    inside norms.lp_norms, and abs2, product and weight, which are
+    disjoint, only outside it.
+
+    abs_u, power : (nx, ny)
+        |u| and one power of it (norms.lp_norms).
+    abs2, product : half lattice, real
+        |coeffs|^2 and one weight times it (norms.parseval_sums).
+    weight : half lattice, real
+        The weight (1 - chi)^2 of the high part (norms.record).
+    columns : (ny//2 + 1,)
+        The column sums of product (norms.parseval_sums).
+    lattices : dict BandLayout -> complex half lattice
+        One array per band, zero outside it, that operators.nonlinear_coeffs
+        scatters the band into; see band_lattice.
+    """
+
+    def __init__(self, grid: GridSpec):
+        real, half = (grid.nx, grid.ny), (grid.nx, grid.ny // 2 + 1)
+        n_real, n_half = grid.nx * grid.ny, grid.nx * half[1]
+        flat = np.empty(2 * n_real)  # holds 3 half lattices for ny >= 6
+        self.abs_u, self.power = (flat[i * n_real: (i + 1) * n_real].reshape(real)
+                                  for i in range(2))
+        self.abs2, self.product, self.weight = (flat[i * n_half: (i + 1) * n_half].reshape(half)
+                                                for i in range(3))
+        self.columns = np.empty(half[1])
+        self.lattices: dict[BandLayout, np.ndarray] = {}
+
+    def band_lattice(self, band: BandLayout) -> np.ndarray:
+        """This workspace's complex half lattice for band: zero outside the
+        band, so band.scatter(b, out=...) only has to write the band."""
+        out = self.lattices.get(band)
+        if out is None:
+            g = band.grid
+            out = self.lattices[band] = np.zeros((g.nx, g.ny // 2 + 1), dtype=np.complex128)
+        return out
+
+
+_workspaces = threading.local()
+
+
+def workspace(grid: GridSpec) -> Workspace:
+    """The calling thread's Workspace for grid, built on first use.
+
+    Each thread keeps its own, for at most WORKSPACE_GRIDS grids, so threads
+    working on different states never share a scratch array.
+    """
+    spaces = getattr(_workspaces, "by_grid", None)
+    if spaces is None:
+        spaces = _workspaces.by_grid = {}
+    ws = spaces.pop(grid, None)
+    if ws is None:
+        ws = Workspace(grid)
+        if len(spaces) >= WORKSPACE_GRIDS:
+            del spaces[next(iter(spaces))]
+    spaces[grid] = ws
+    return ws
 
 
 @lru_cache(maxsize=32)

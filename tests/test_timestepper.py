@@ -378,6 +378,16 @@ class TestCfl:
         assert cfl_dt(u, g, 0.5, 2) == pytest.approx(0.5 * 0.25 / 9.0)
         assert cfl_dt(u, g, 0.5) == cfl_dt(u, g, 0.5, 1) == pytest.approx(0.5 * 0.25 / 3.0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_peak_is_max_abs_bit_for_bit(self, grid16, seed):
+        # the peak max(max u, -min u) is max|u| exactly, whichever sign it has
+        u = random_field(grid16, seed)
+        for values in (u.values, -u.values):
+            field = PhysicalField(grid16, values)
+            for kappa in (1, 2):
+                amp = max(float(np.max(np.abs(values))) ** kappa, 1e-8)
+                assert cfl_dt(field, grid16, 0.5, kappa) == 0.5 * min(grid16.dx, grid16.dy) / amp
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_field(self, bad):
         g = make_grid(8, 8, 1.0, 1.0)

@@ -1,0 +1,174 @@
+"""The per-grid, per-thread scratch workspace behind the norms and the flux
+right-hand side: transient allocation budgets, no result aliasing a
+workspace array, and record on several threads at once."""
+
+import sys
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from anisoflow import (
+    CutoffSpec,
+    DissipationSpec,
+    FluxSpec,
+    PhysicalField,
+    SimState,
+    forward_transform,
+    inverse_transform,
+    make_grid,
+    record,
+    step_ifrk4,
+)
+from anisoflow.operators import nonlinear_coeffs
+from anisoflow.spectral import WORKSPACE_GRIDS, SpectralField, band_layout, workspace
+
+N = 128
+
+
+@pytest.fixture(scope="module")
+def grid():
+    # the cell size of the 512^2, 100*pi production box
+    return make_grid(N, N, 25.0 * np.pi, 25.0 * np.pi)
+
+
+def gaussian_state(grid, t=0.0, kappa=1, amplitude=5.0, shift=0.0):
+    """The production Gaussian bump (radius 2.5), truncated to the band when
+    the flux is on, as initial_state does."""
+    x = grid.x[:, None] - grid.lx / 2 - shift
+    y = grid.y[None, :] - grid.ly / 2
+    c = forward_transform(PhysicalField(grid, amplitude * np.exp(-(x * x + y * y) / 2.5 ** 2))).coeffs
+    flux = FluxSpec(kappa) if kappa else None
+    if flux is not None:
+        band = band_layout(grid, flux.dealias_denom)
+        c = band.scatter(band.gather(c))
+    return SimState(t, SpectralField(grid, c), DissipationSpec(grid, 1.5, 2.0), flux)
+
+
+def transient_peak(fn) -> int:
+    """Bytes allocated at the peak of one call of fn above what was live
+    before it, its result included, after one warm-up call (tracemalloc)."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def workspace_arrays(grid):
+    ws = workspace(grid)
+    return [ws.abs_u, ws.power, ws.abs2, ws.product, ws.weight, ws.columns,
+            *ws.lattices.values()]
+
+
+class TestAllocationBudget:
+    REAL = N * N * 8  # one real field, bytes
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 3.0])
+    def test_record_peak_is_about_one_real_field(self, grid, t):
+        # measured at 128^2 (numpy 2.4): 1.09, 1.02 and 1.02 real fields at
+        # t = 0, 0.5 and 3 (the inverse transform's output, then the cutoff
+        # chi0 builds in place over its argument, widest bridge at t = 0);
+        # 4.06 fields when every temporary was allocated per call.  Margin
+        # 25% of one field.
+        s = gaussian_state(grid, t, kappa=None)
+        peak = transient_peak(lambda: record(s, CutoffSpec(4.0), [1, 2]))
+        assert peak <= 1.25 * self.REAL, f"{peak / self.REAL:.3f} real fields"
+
+    @pytest.mark.parametrize("kappa", [1, 2])
+    def test_nonlinear_coeffs_peak_is_its_fft_outputs_and_result(self, grid, kappa):
+        # measured at 128^2 (numpy 2.4): 1.002 times the irfft2 output, the
+        # rfft2 output and the returned band array together (the rest is
+        # the finiteness mask, freed before rfft2); 1.41 times when the
+        # scatter and the flux power allocated per call.  Margin 25%.
+        s = gaussian_state(grid, kappa=kappa)
+        band = band_layout(grid, s.flux.dealias_denom)
+        c = band.gather(s.u_hat.coeffs)
+        budget = self.REAL + N * (N // 2 + 1) * 16 + c.nbytes
+        peak = transient_peak(lambda: nonlinear_coeffs(grid, c, s.flux))
+        assert peak <= 1.25 * budget, f"{peak / budget:.3f} of the budget"
+
+
+class TestNoAliasing:
+    def test_results_share_no_memory_with_the_workspace(self, grid):
+        s = gaussian_state(grid)
+        band = band_layout(grid, s.flux.dealias_denom)
+        record(s, CutoffSpec(4.0), [1, 2])
+        results = {
+            "step_ifrk4": step_ifrk4(s, 0.1).u_hat.coeffs,
+            "step_ifrk4 (no flux)": step_ifrk4(gaussian_state(grid, kappa=None), 0.1).u_hat.coeffs,
+            "nonlinear_coeffs": nonlinear_coeffs(grid, band.gather(s.u_hat.coeffs), s.flux),
+            "inverse_transform": inverse_transform(s.u_hat).values,
+        }
+        arrays = workspace_arrays(grid)
+        assert workspace(grid).lattices, "nonlinear_coeffs used no workspace lattice"
+        for name, r in results.items():
+            assert not any(np.shares_memory(r, a) for a in arrays), name
+
+    def test_results_unchanged_by_a_later_call_on_another_state(self, grid):
+        a, b = gaussian_state(grid), gaussian_state(grid, t=1.0, amplitude=3.0, shift=4.0)
+        band = band_layout(grid, a.flux.dealias_denom)
+        calls = {
+            "step_ifrk4": lambda s: step_ifrk4(s, 0.1).u_hat.coeffs,
+            "nonlinear_coeffs": lambda s: nonlinear_coeffs(grid, band.gather(s.u_hat.coeffs), s.flux),
+            "inverse_transform": lambda s: inverse_transform(s.u_hat).values,
+        }
+        for name, call in calls.items():
+            r = call(a)
+            kept = r.copy()
+            for f in calls.values():
+                f(b)
+            record(b, CutoffSpec(4.0), [1, 2])
+            assert np.array_equal(r, kept), name
+
+
+class TestPerThread:
+    def test_one_workspace_per_grid_and_thread_bounded(self, grid):
+        ws = workspace(grid)
+        assert workspace(grid) is ws
+        other = []
+        t = threading.Thread(target=lambda: other.append(workspace(grid)))
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive() and other[0] is not ws
+        # using WORKSPACE_GRIDS other grids drops the least recently used
+        for n in range(WORKSPACE_GRIDS):
+            workspace(make_grid(16 + 2 * n, 16, 1.0, 1.0))
+        assert workspace(grid) is not ws
+
+    def test_record_on_threads_equals_serial(self, grid):
+        # more threads than the 2 cores, each with its own states, and a
+        # short switch interval so the threads interleave inside record
+        cutoff = CutoffSpec(4.0)
+        amplitudes = (5.0, 2.0, 3.5, 1.0)
+        states = [[gaussian_state(grid, t, kappa=None, amplitude=a, shift=a)
+                   for t in (0.0, 0.5, 3.0)] for a in amplitudes]
+        serial = [[record(s, cutoff, [1, 2]) for s in row] for row in states]
+        threaded = [[] for _ in amplitudes]
+        errors = []
+
+        def work(i):
+            try:
+                for _ in range(40):
+                    threaded[i].extend(record(s, cutoff, [1, 2]) for s in states[i])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(amplitudes))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        for i in range(len(amplitudes)):
+            assert threaded[i] == serial[i] * 40
