@@ -30,17 +30,23 @@ def chi0(s, out=None):
     s_arr = np.asarray(s, dtype=np.float64)
     if np.any(s_arr < 0.0):
         raise ValueError("chi0 argument must be >= 0")
-    bridge = (s_arr > 1.0) & (s_arr < 2.0)
-    sb = s_arr[bridge]
-    a = np.exp(-1.0 / (2.0 - sb))
-    b = np.exp(-1.0 / (sb - 1.0))
+    bridge = s_arr > 1.0
+    bridge &= s_arr < 2.0
+    # a = phi(2 - s) and b = phi(s - 1) on the bridge, each computed in
+    # place in one array; b then becomes a + b
+    b = s_arr[bridge]
+    a = np.subtract(2.0, b)
+    b -= 1.0
+    for x in (a, b):
+        np.exp(np.divide(-1.0, x, out=x), out=x)
+    b += a
     beyond = s_arr >= 2.0
     # s is read in full before out, which may be s, is written
     if out is None:
         out = np.empty_like(s_arr)
     out[...] = 1.0
     out[beyond] = 0.0
-    out[bridge] = a / (a + b)
+    out[bridge] = np.divide(a, b, out=a)
     if np.ndim(s) == 0:
         return float(out)
     return out
@@ -65,9 +71,9 @@ class CutoffSpec:
         if not (self.mu > 0.0 and np.isfinite(self.mu)):
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
-    def symbol(self, t: float, d: DissipationSpec) -> np.ndarray:
-        """Cutoff multiplier chi0(mu^-1*(1+t)*m) over the lattice, fresh;
-        built in place over its own argument array."""
-        arg = (1.0 + t) / self.mu * d.symbol
+    def symbol(self, t: float, d: DissipationSpec, out: np.ndarray | None = None) -> np.ndarray:
+        """Cutoff multiplier chi0(mu^-1*(1+t)*m) over the lattice, fresh or
+        into out; built in place over its own argument array."""
+        arg = np.multiply((1.0 + t) / self.mu, d.symbol, out=out)
         return chi0(arg, out=arg)
 

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import CheckpointError
 from .norms import NormSample
 from .operators import DissipationSpec, FluxSpec
-from .spectral import PhysicalField, forward_transform, inverse_transform, make_grid
+from .spectral import PhysicalField, forward_transform, make_grid
 from .timestepper import SimState
 
 MAGIC = b"ANISOFL1"
@@ -65,9 +65,9 @@ def checkpoint_write(s: SimState, path: str) -> None:
     """Binary snapshot: magic, geometry, time, kappa, then the physical field.
 
     All little-endian; the field is written row-major.  kappa = 0 encodes a
-    disabled nonlinearity.
+    disabled nonlinearity.  The field is the state's own (SimState.physical).
     """
-    u = inverse_transform(s.u_hat)
+    u = s.physical
     grid = s.grid
     kappa = s.flux.kappa if s.flux is not None else 0
     header = _HEADER.pack(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freqsplit import CutoffSpec
-from .spectral import PhysicalField, SpectralField, fourier_weight, inverse_transform, workspace
+from .spectral import PhysicalField, SpectralField, fourier_weight, workspace
 from .timestepper import SimState
 
 _SUPPORTED_P = (1, 2, 4, np.inf)
@@ -91,6 +91,11 @@ def parseval_sums(v: SpectralField, weights) -> list[float]:
     abs2 = np.square(np.abs(v.coeffs, out=ws.abs2), out=ws.abs2)
     sums = []
     for w in weights:
+        if np.shape(w) != abs2.shape:
+            # spread first: with a broadcast operand and out=, np.multiply
+            # allocates a full temporary
+            np.copyto(ws.product, w)
+            w = ws.product
         columns = np.sum(np.multiply(w, abs2, out=ws.product), axis=0, out=ws.columns)
         sums.append(float(np.sqrt(np.dot(columns, g.column_weight) / g.area())))
     return sums
@@ -102,14 +107,16 @@ def record(s: SimState, c: CutoffSpec, gammas: list[int]) -> NormSample:
     One |u| serves the four L^p norms and one |u_hat|^2 every Parseval sum:
     the H^gamma and dissipation seminorms, and ||uL||_2, ||uH||_2 of the
     low/high split as the weights chi^2 and (1 - chi)^2 of the cutoff
-    chi = c.symbol(t, d), without building uL or uH.  The field is dropped
-    once its norms are taken, before chi is built, and both split weights
-    are built in place: chi^2 over chi, (1 - chi)^2 in the workspace.
+    chi = c.symbol(t, d), without building uL or uH.  u is the state's own
+    field (SimState.physical), so a state whose field is already built
+    costs no inverse transform here.  chi and both split weights are built
+    in the workspace: chi^2 over chi, (1 - chi)^2 beside it.
     """
-    l1, l2, l4, linf = lp_norms(inverse_transform(s.u_hat), _SUPPORTED_P)
+    l1, l2, l4, linf = lp_norms(s.physical, _SUPPORTED_P)
     g, d = s.u_hat.grid, s.dissipation
-    chi = c.symbol(s.t, d)
-    high = np.subtract(1.0, chi, out=workspace(g).weight)
+    ws = workspace(g)
+    chi = c.symbol(s.t, d, out=ws.chi)
+    high = np.subtract(1.0, chi, out=ws.weight)
     weights = [fourier_weight(g, 2.0 * gamma) for gamma in gammas]
     weights += [fourier_weight(g, d.alpha1, "x"), fourier_weight(g, d.alpha2, "y"),
                 np.square(chi, out=chi), np.square(high, out=high)]

@@ -59,7 +59,8 @@ class FluxSpec:
             return w
 
 
-def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec) -> np.ndarray:
+def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec,
+                     u: np.ndarray | None = None) -> np.ndarray:
     """Spectral divergence of the flux, i*(xi1+xi2) * F[f(u)], on the band.
 
     coeffs and the result are band arrays of band_layout(grid,
@@ -71,13 +72,20 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec) -> np.n
     lattice (spectral.workspace), whose entries outside the band stay zero;
     the flux power and both area scalings are taken in place, so a call
     allocates only the two FFT outputs, the result and the finiteness mask.
+
+    u, when given, is the real field of the scattered band, already known
+    to the caller; its inverse transform is then skipped and the flux power
+    is taken into a fresh array, leaving u unchanged.
     """
     band = band_layout(grid, flux.dealias_denom)
     area = grid.cell_area()
-    lattice = band.scatter(coeffs, out=workspace(grid).band_lattice(band))
-    u_band = _fft.irfft2(lattice, s=(grid.nx, grid.ny), workers=FFT_WORKERS)
-    u_band /= area
-    w = flux(u_band, out=u_band)
+    if u is None:
+        lattice = band.scatter(coeffs, out=workspace(grid).band_lattice(band))
+        u = _fft.irfft2(lattice, s=(grid.nx, grid.ny), workers=FFT_WORKERS)
+        u /= area
+        w = flux(u, out=u)
+    else:
+        w = flux(u)
     if not np.all(np.isfinite(w)):
         raise NonFiniteStateError(
             f"overflow evaluating flux power u^{flux.kappa + 1}"

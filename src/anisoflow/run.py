@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,8 @@ from .freqsplit import CutoffSpec
 from .io import checkpoint_write, write_timeseries
 from .norms import NormSample, record
 from .operators import DissipationSpec, FluxSpec
-from .spectral import GridSpec, PhysicalField, band_layout, forward_transform, inverse_transform
+from .spectral import (GridSpec, PhysicalField, band_layout, forward_transform, share_workspaces,
+                       thread_workspaces)
 from .timestepper import SimState, cfl_dt, step_ifrk4
 
 _SNAP_TOL = 1e-9
@@ -88,18 +90,18 @@ def advance_to(state: SimState, target: float, cfl_safety: float) -> SimState:
     """Step until t reaches target.
 
     With the flux on, each step is limited by the CFL bound of the current
-    field and the last one is shortened to land on the target.  Without it
-    step_ifrk4 is exact for any dt, so the target is reached in one step.
-    t is snapped to the target exactly so sample times stay clean across
-    resumes.
+    field (SimState.physical, which stage 1 of the step then reuses) and the
+    last one is shortened to land on the target.  Without it step_ifrk4 is
+    exact for any dt, so the target is reached in one step.  t is snapped
+    to the target exactly so sample times stay clean across resumes; the
+    snapped state keeps its field.
     """
     if target < state.t - _SNAP_TOL:
         raise ValueError(f"target {target} precedes current time {state.t}")
     while state.t < target - _SNAP_TOL:
         dt = target - state.t
         if state.flux is not None:
-            u = inverse_transform(state.u_hat)
-            dt = min(cfl_dt(u, state.grid, cfl_safety, state.flux.kappa), dt)
+            dt = min(cfl_dt(state.physical, state.grid, cfl_safety, state.flux.kappa), dt)
         state = step_ifrk4(state, dt)
     return replace(state, t=target)
 
@@ -107,23 +109,46 @@ def advance_to(state: SimState, target: float, cfl_safety: float) -> SimState:
 def run_simulation(cfg: RunConfig) -> tuple[list[NormSample], SimState]:
     """Step the configured system to t_end, sampling every sample_every.
 
-    Deterministic for a given config.  On blow-up the partial series is
-    flushed to the configured CSV before the error propagates.
+    Each sample state's field is built on the calling thread, which then
+    hands the state to one background sampler thread that runs record
+    while the caller steps the next interval.  At most one sample is in
+    flight, and the series is assembled in sample order.  The sampler
+    shares the caller's spectral workspaces: it uses only the norms'
+    scratch, the stepping only the band lattices.
+
+    Deterministic for a given config: the series, the final state and the
+    files are the bits a serial advance_to + record loop gives, and so are
+    its errors.  When stepping fails, the pending sample is drained first,
+    so an error that record raised on an earlier state propagates
+    unchanged, as it would have before the step, and nothing is written.
+    Otherwise a BlowUpError flushes the partial series to the configured
+    CSV before it propagates.
     """
     state = initial_state(cfg)
     cutoff = CutoffSpec(cfg.resolved_mu())
     gammas = list(cfg.gammas)
-    series = [record(state, cutoff, gammas)]
-    try:
-        for target in sample_times(cfg.t_end, cfg.sample_every):
-            state = advance_to(state, target, cfg.cfl_safety)
-            series.append(record(state, cutoff, gammas))
-    except BlowUpError:
-        if cfg.timeseries_path:
-            write_timeseries(series, cfg.timeseries_path, gammas)
-        raise
-    if cfg.timeseries_path:
+    series: list[NormSample] = []
+    failed = None
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="anisoflow-sampler",
+                            initializer=share_workspaces,
+                            initargs=(thread_workspaces(),)) as sampler:
+        state.physical  # built on this thread; the sampler only reads it
+        pending = sampler.submit(record, state, cutoff, gammas)
+        try:
+            for target in sample_times(cfg.t_end, cfg.sample_every):
+                state = advance_to(state, target, cfg.cfl_safety)
+                state.physical  # built while the sampler may still be busy
+                series.append(pending.result())
+                pending = sampler.submit(record, state, cutoff, gammas)
+        except Exception as exc:
+            # held until the pending sample is in: a record error on an
+            # earlier state comes first, as in a serial loop
+            failed = exc
+        series.append(pending.result())
+    if cfg.timeseries_path and (failed is None or isinstance(failed, BlowUpError)):
         write_timeseries(series, cfg.timeseries_path, gammas)
+    if failed is not None:
+        raise failed
     if cfg.checkpoint_path:
         checkpoint_write(state, cfg.checkpoint_path)
     return series, state

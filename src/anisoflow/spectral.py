@@ -31,7 +31,11 @@ next.  So they live in a Workspace instead: preallocated arrays of one
 grid, one workspace per grid and per thread (workspace), at most
 WORKSPACE_GRIDS grids per thread.  A workspace array is overwritten by the
 next call that uses it, so nothing a function returns is, or views, one of
-them.
+them.  A helper thread may share the workspaces of the thread that starts
+it (thread_workspaces, share_workspaces) when the two never use the same
+arrays at once: run.run_simulation's sampler thread takes the norms'
+scratch while the stepping thread uses only the band lattices, so a
+sampled run keeps one set of scratch arrays resident, not two.
 """
 
 from __future__ import annotations
@@ -254,6 +258,13 @@ class BandLayout:
         out[self.grid.nx - self.n_neg:, : self.ncols] = b[self.n_pos:]
         return out
 
+    def holds(self, a: np.ndarray) -> bool:
+        """Whether the half-lattice array a is exactly zero outside the band,
+        so that scatter(gather(a)) equals a."""
+        tail = self.grid.nx - self.n_neg
+        return not (np.any(a[self.n_pos: tail]) or np.any(a[: self.n_pos, self.ncols:])
+                    or np.any(a[tail:, self.ncols:]))
+
     def folded_abs2(self, b: np.ndarray) -> np.ndarray:
         """|b|^2 of a band array with rows j and -j summed onto row |j|,
         shape (n_folded, ncols): the first n_folded rows and ncols columns
@@ -270,16 +281,17 @@ class Workspace:
     """Scratch arrays of one grid for one thread; see workspace.
 
     The real arrays and the half-lattice ones are views of one flat array
-    of 2*nx*ny floats, so they overlap: abs_u and power are used only
-    inside norms.lp_norms, and abs2, product and weight, which are
-    disjoint, only outside it.
+    of 4 half lattices (about 2*nx*ny floats), so they overlap: abs_u and
+    power are used only inside norms.lp_norms, and abs2, product, weight
+    and chi, which are disjoint, only outside it.
 
     abs_u, power : (nx, ny)
         |u| and one power of it (norms.lp_norms).
     abs2, product : half lattice, real
         |coeffs|^2 and one weight times it (norms.parseval_sums).
-    weight : half lattice, real
-        The weight (1 - chi)^2 of the high part (norms.record).
+    weight, chi : half lattice, real
+        The cutoff chi and the weight (1 - chi)^2 of the high part
+        (norms.record).
     columns : (ny//2 + 1,)
         The column sums of product (norms.parseval_sums).
     lattices : dict BandLayout -> complex half lattice
@@ -290,11 +302,11 @@ class Workspace:
     def __init__(self, grid: GridSpec):
         real, half = (grid.nx, grid.ny), (grid.nx, grid.ny // 2 + 1)
         n_real, n_half = grid.nx * grid.ny, grid.nx * half[1]
-        flat = np.empty(2 * n_real)  # holds 3 half lattices for ny >= 6
+        flat = np.empty(4 * n_half)  # holds the 2 real arrays
         self.abs_u, self.power = (flat[i * n_real: (i + 1) * n_real].reshape(real)
                                   for i in range(2))
-        self.abs2, self.product, self.weight = (flat[i * n_half: (i + 1) * n_half].reshape(half)
-                                                for i in range(3))
+        self.abs2, self.product, self.weight, self.chi = (
+            flat[i * n_half: (i + 1) * n_half].reshape(half) for i in range(4))
         self.columns = np.empty(half[1])
         self.lattices: dict[BandLayout, np.ndarray] = {}
 
@@ -309,23 +321,43 @@ class Workspace:
 
 
 _workspaces = threading.local()
+# guards the least-recently-used order of a set of workspaces that
+# share_workspaces has given to two threads
+_workspaces_lock = threading.Lock()
+
+
+def thread_workspaces() -> dict[GridSpec, Workspace]:
+    """The calling thread's workspaces by grid (see workspace)."""
+    spaces = getattr(_workspaces, "by_grid", None)
+    if spaces is None:
+        spaces = _workspaces.by_grid = {}
+    return spaces
+
+
+def share_workspaces(spaces: dict[GridSpec, Workspace]) -> None:
+    """Make the calling thread use spaces, another thread's workspaces.
+
+    Only for a helper thread that never uses the same workspace array as
+    the owner at the same time, such as run.run_simulation's sampler.
+    """
+    _workspaces.by_grid = spaces
 
 
 def workspace(grid: GridSpec) -> Workspace:
     """The calling thread's Workspace for grid, built on first use.
 
     Each thread keeps its own, for at most WORKSPACE_GRIDS grids, so threads
-    working on different states never share a scratch array.
+    working on different states never share a scratch array, unless one of
+    them shares the other's through share_workspaces.
     """
-    spaces = getattr(_workspaces, "by_grid", None)
-    if spaces is None:
-        spaces = _workspaces.by_grid = {}
-    ws = spaces.pop(grid, None)
-    if ws is None:
-        ws = Workspace(grid)
-        if len(spaces) >= WORKSPACE_GRIDS:
-            del spaces[next(iter(spaces))]
-    spaces[grid] = ws
+    spaces = thread_workspaces()
+    with _workspaces_lock:
+        ws = spaces.pop(grid, None)
+        if ws is None:
+            ws = Workspace(grid)
+            if len(spaces) >= WORKSPACE_GRIDS:
+                del spaces[next(iter(spaces))]
+        spaces[grid] = ws
     return ws
 
 

@@ -7,14 +7,14 @@ an oracle for the stepper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import factorial
 
 import numpy as np
 
 from .errors import BlowUpError, NonFiniteStateError
 from .operators import DissipationSpec, FluxSpec, nonlinear_coeffs
-from .spectral import GridSpec, PhysicalField, SpectralField, band_layout
+from .spectral import GridSpec, PhysicalField, SpectralField, band_layout, inverse_transform
 
 #: Amplitude floor in the CFL denominator; keeps dt finite on a zero field.
 CFL_AMPLITUDE_FLOOR = 1e-8
@@ -43,6 +43,10 @@ class SimState:
     time integral of the dissipation sum(m*|u_hat|^2)/(lx*ly) over the full
     lattice, accumulated by step_ifrk4 since the state was built, so that
     0.5*||u||^2 + ledger stays constant along exact solutions.
+
+    The real samples of u_hat are built once per state (physical) and
+    shared by everything that reads them: the CFL bound, stage 1 of the
+    next flux step, record and checkpoint_write.
     """
 
     t: float
@@ -50,6 +54,10 @@ class SimState:
     dissipation: DissipationSpec
     flux: FluxSpec | None
     ledger: float = 0.0
+    # (u_hat, its real samples) once physical has built them; replace()
+    # carries the pair, which is reused only while u_hat is that object
+    _physical: tuple[SpectralField, PhysicalField] | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.t >= 0.0 and np.isfinite(self.t)):
@@ -62,6 +70,17 @@ class SimState:
     @property
     def grid(self) -> GridSpec:
         return self.u_hat.grid
+
+    @property
+    def physical(self) -> PhysicalField:
+        """inverse_transform(u_hat), built on first use and kept, read-only."""
+        kept = self._physical
+        if kept is None or kept[0] is not self.u_hat:
+            u = inverse_transform(self.u_hat)
+            u.values.flags.writeable = False
+            kept = (self.u_hat, u)
+            object.__setattr__(self, "_physical", kept)
+        return kept[1]
 
 
 def linear_exact(u0_hat: SpectralField, d: DissipationSpec, t: float) -> SpectralField:
@@ -79,8 +98,12 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
     Exact on the linear part for any dt.  With the flux enabled the step
     works on the alias-free band only (band_layout): the state and the
     symbol are gathered onto it once, every stage lives there, and the
-    result is scattered back with everything outside the band zeroed.  A
-    nonfinite value anywhere in the input state, or one arising during the
+    result is scattered back with everything outside the band zeroed.
+    Stage 1 takes the flux of the state's own field (SimState.physical)
+    when u_hat is exactly zero outside the band, as every state from
+    run.initial_state and from this function is, and of the scattered band
+    otherwise; the two are the same bits in the first case.  A nonfinite
+    value anywhere in the input state, or one arising during the
     step, raises BlowUpError carrying the time the step was aiming for.
     The step's dissipation integral, over the retained band, is added to
     the ledger (see _ledger_weights); it only reads the stage arrays, so
@@ -104,13 +127,13 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
         e_full = np.exp(-dt * m)
         e_half = np.exp(-0.5 * dt * m)
 
-        def rhs(coeffs):
-            return -nonlinear_coeffs(grid, coeffs, s.flux)
+        def rhs(coeffs, u=None):
+            return -nonlinear_coeffs(grid, coeffs, s.flux, u)
 
         # each stage is folded into the ledger as soon as its RHS is known,
         # so no stage array outlives the next RHS evaluation
         try:
-            k1 = dt * rhs(c)
+            k1 = dt * rhs(c, s.physical.values if band.holds(s.u_hat.coeffs) else None)
             stage = e_half * (c + 0.5 * k1)
             k2 = dt * rhs(stage)
             mid = band.folded_abs2(stage)

@@ -22,7 +22,14 @@ from anisoflow import (
     step_ifrk4,
 )
 from anisoflow.operators import nonlinear_coeffs
-from anisoflow.spectral import WORKSPACE_GRIDS, SpectralField, band_layout, workspace
+from anisoflow.spectral import (
+    WORKSPACE_GRIDS,
+    SpectralField,
+    band_layout,
+    share_workspaces,
+    thread_workspaces,
+    workspace,
+)
 
 N = 128
 
@@ -61,7 +68,7 @@ def transient_peak(fn) -> int:
 
 def workspace_arrays(grid):
     ws = workspace(grid)
-    return [ws.abs_u, ws.power, ws.abs2, ws.product, ws.weight, ws.columns,
+    return [ws.abs_u, ws.power, ws.abs2, ws.product, ws.weight, ws.chi, ws.columns,
             *ws.lattices.values()]
 
 
@@ -70,11 +77,14 @@ class TestAllocationBudget:
 
     @pytest.mark.parametrize("t", [0.0, 0.5, 3.0])
     def test_record_peak_is_about_one_real_field(self, grid, t):
-        # measured at 128^2 (numpy 2.4): 1.09, 1.02 and 1.02 real fields at
-        # t = 0, 0.5 and 3 (the inverse transform's output, then the cutoff
-        # chi0 builds in place over its argument, widest bridge at t = 0);
-        # 4.06 fields when every temporary was allocated per call.  Margin
-        # 25% of one field.
+        # measured at 128^2 (numpy 2.4): 0.31, 0.25 and 0.17 real fields at
+        # t = 0, 0.5 and 3, all of it chi0's masks and bridge arrays (widest
+        # bridge at t = 0): the field is the state's own, built by the
+        # warm-up call, chi is built in the workspace, and parseval_sums
+        # spreads a directional weight there before multiplying.  1.09,
+        # 1.02 and 1.02 when record built the field and chi per call, 4.06
+        # when every temporary was allocated per call.  Margin 25% of one
+        # field.
         s = gaussian_state(grid, t, kappa=None)
         peak = transient_peak(lambda: record(s, CutoffSpec(4.0), [1, 2]))
         assert peak <= 1.25 * self.REAL, f"{peak / self.REAL:.3f} real fields"
@@ -139,6 +149,40 @@ class TestPerThread:
         for n in range(WORKSPACE_GRIDS):
             workspace(make_grid(16 + 2 * n, 16, 1.0, 1.0))
         assert workspace(grid) is not ws
+
+    def test_shared_workspaces_stay_one_per_grid(self):
+        # more threads than the 2 cores share one thread's workspaces and
+        # look up WORKSPACE_GRIDS grids at a short switch interval; a lost
+        # update of the least-recently-used order would build a second
+        # workspace for a grid
+        grids = [make_grid(16 + 2 * n, 16, 1.0, 1.0) for n in range(WORKSPACE_GRIDS)]
+        spaces = thread_workspaces()
+        owned = {g: workspace(g) for g in grids}
+        seen, errors = [], []
+
+        def work(i):
+            try:
+                share_workspaces(spaces)
+                for k in range(2000):
+                    g = grids[(i + k) % len(grids)]
+                    seen.append((g, workspace(g)))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(seen) == 6 * 2000
+        assert all(ws is owned[g] for g, ws in seen)
 
     def test_record_on_threads_equals_serial(self, grid):
         # more threads than the 2 cores, each with its own states, and a
