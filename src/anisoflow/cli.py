@@ -32,11 +32,14 @@ def _parse_space(raw: str) -> tuple[str, int | None]:
 
 
 def parse_window(raw: str) -> tuple[float, float]:
-    """`lo,hi` -> the (lo, hi) fit window; shared with the decay script."""
+    """`lo,hi` with finite lo < hi -> the (lo, hi) fit window; shared with
+    the decay script."""
     try:
         lo, hi = (float(p) for p in raw.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be lo,hi, got {raw!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise argparse.ArgumentTypeError(f"must be finite lo < hi, got {raw!r}")
     return lo, hi
 
 

@@ -192,11 +192,11 @@ def validate_config(cfg: RunConfig) -> None:
     if not cfg.gammas or any(g < 1 for g in cfg.gammas):
         fail("gammas", f"must be a nonempty list of integers >= 1, got {cfg.gammas}")
     ic = cfg.ic
+    if not math.isfinite(ic.amplitude):
+        fail("ic", f"amplitude must be finite, got {ic.amplitude}")
     if isinstance(ic, GaussianIC):
         if not (ic.radius > 0 and math.isfinite(ic.radius)):
             fail("ic", f"gaussian radius must be positive, got {ic.radius}")
-        if not math.isfinite(ic.amplitude):
-            fail("ic", "gaussian amplitude must be finite")
         if ic.center is not None and not all(map(math.isfinite, ic.center)):
             fail("ic", f"gaussian center must be finite, got {ic.center}")
     elif isinstance(ic, RandomBlobIC):

@@ -6,20 +6,23 @@ weight of parseval_sums on the quadrature-weighted coefficients, so the
 two routes agree to roundoff.
 
 Both primitives, and record, build their temporaries (|u| and its powers,
-|coeffs|^2, each weighted product and its column sums, the (1 - chi)^2
-weight) in the calling thread's spectral.workspace of the grid instead of
-allocating them per call; they return floats, so nothing they return
-aliases it.
+|coeffs|^2, each weighted product and its column sums, chi and the
+(1 - chi)^2 weight) in the grid's Workspace, one per grid for the process,
+and hold its lock while they do: at 512^2 each temporary is 1-2 MB, and
+allocated per call it was faulted in again on every call.  They return
+floats, so nothing they return aliases the workspace.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .freqsplit import CutoffSpec
-from .spectral import PhysicalField, SpectralField, fourier_weight, workspace
+from .spectral import GridSpec, PhysicalField, SpectralField, fourier_weight
 from .timestepper import SimState
 
 _SUPPORTED_P = (1, 2, 4, np.inf)
@@ -62,22 +65,62 @@ class NormSample:
             raise ValueError("norm sample violates l2^2 <= l1*linf")
 
 
+class Workspace:
+    """Scratch arrays of one grid for lp_norms, parseval_sums and record,
+    and the reentrant lock a call holds while it uses them.
+
+    The real arrays and the half-lattice ones are views of one flat array
+    of 4 half lattices (about 2*nx*ny floats), so they overlap: abs_u and
+    power are used only inside lp_norms, and abs2, product, weight and chi,
+    which are disjoint, only outside it.
+
+    abs_u, power : (nx, ny)
+        |u| and one power of it (lp_norms).
+    abs2, product : half lattice, real
+        |coeffs|^2 and one weight times it (parseval_sums).
+    weight, chi : half lattice, real
+        The cutoff chi and the weight (1 - chi)^2 of the high part (record).
+    columns : (ny//2 + 1,)
+        The column sums of product (parseval_sums).
+    """
+
+    def __init__(self, grid: GridSpec):
+        real, half = (grid.nx, grid.ny), (grid.nx, grid.ny // 2 + 1)
+        n_real, n_half = grid.nx * grid.ny, grid.nx * half[1]
+        flat = np.empty(4 * n_half)  # holds the 2 real arrays
+        self.abs_u, self.power = (flat[i * n_real: (i + 1) * n_real].reshape(real)
+                                  for i in range(2))
+        self.abs2, self.product, self.weight, self.chi = (
+            flat[i * n_half: (i + 1) * n_half].reshape(half) for i in range(4))
+        self.columns = np.empty(half[1])
+        # reentrant: record holds it across its own lp_norms and parseval_sums
+        self.lock = threading.RLock()
+
+
+@lru_cache(maxsize=4)
+def workspace(grid: GridSpec) -> Workspace:
+    """The Workspace of grid, built on first use; the least recently used
+    of more than 4 grids is dropped."""
+    return Workspace(grid)
+
+
 def lp_norms(u: PhysicalField, ps) -> list[float]:
     """Quadrature L^p norms for each p in ps, from one |u|; p in {1, 2, 4, inf}."""
     for p in ps:
         if p not in _SUPPORTED_P:
             raise ValueError(f"unsupported p={p}; monitored set is {{1, 2, 4, inf}}")
     ws = workspace(u.grid)
-    a = np.abs(u.values, out=ws.abs_u)
     cell = u.grid.cell_area()
     norms = []
-    for p in ps:
-        if p == np.inf:
-            norms.append(float(a.max()))
-        else:
-            # np.power(a, p) has the bits of a ** p; a itself for p = 1
-            ap = a if p == 1 else np.power(a, p, out=ws.power)
-            norms.append(float((np.sum(ap) * cell) ** (1.0 / p)))
+    with ws.lock:
+        a = np.abs(u.values, out=ws.abs_u)
+        for p in ps:
+            if p == np.inf:
+                norms.append(float(a.max()))
+            else:
+                # np.power(a, p) has the bits of a ** p; a itself for p = 1
+                ap = a if p == 1 else np.power(a, p, out=ws.power)
+                norms.append(float((np.sum(ap) * cell) ** (1.0 / p)))
     return norms
 
 
@@ -88,16 +131,17 @@ def parseval_sums(v: SpectralField, weights) -> list[float]:
     enter with grid.column_weight."""
     g = v.grid
     ws = workspace(g)
-    abs2 = np.square(np.abs(v.coeffs, out=ws.abs2), out=ws.abs2)
     sums = []
-    for w in weights:
-        if np.shape(w) != abs2.shape:
-            # spread first: with a broadcast operand and out=, np.multiply
-            # allocates a full temporary
-            np.copyto(ws.product, w)
-            w = ws.product
-        columns = np.sum(np.multiply(w, abs2, out=ws.product), axis=0, out=ws.columns)
-        sums.append(float(np.sqrt(np.dot(columns, g.column_weight) / g.area())))
+    with ws.lock:
+        abs2 = np.square(np.abs(v.coeffs, out=ws.abs2), out=ws.abs2)
+        for w in weights:
+            if np.shape(w) != abs2.shape:
+                # spread first: with a broadcast operand and out=, np.multiply
+                # allocates a full temporary
+                np.copyto(ws.product, w)
+                w = ws.product
+            columns = np.sum(np.multiply(w, abs2, out=ws.product), axis=0, out=ws.columns)
+            sums.append(float(np.sqrt(np.dot(columns, g.column_weight) / g.area())))
     return sums
 
 
@@ -110,17 +154,18 @@ def record(s: SimState, c: CutoffSpec, gammas: list[int]) -> NormSample:
     chi = c.symbol(t, d), without building uL or uH.  u is the state's own
     field (SimState.physical), so a state whose field is already built
     costs no inverse transform here.  chi and both split weights are built
-    in the workspace: chi^2 over chi, (1 - chi)^2 beside it.
+    in the workspace, under its lock: chi^2 over chi, (1 - chi)^2 beside it.
     """
-    l1, l2, l4, linf = lp_norms(s.physical, _SUPPORTED_P)
-    g, d = s.u_hat.grid, s.dissipation
+    u, g, d = s.physical, s.u_hat.grid, s.dissipation
     ws = workspace(g)
-    chi = c.symbol(s.t, d, out=ws.chi)
-    high = np.subtract(1.0, chi, out=ws.weight)
     weights = [fourier_weight(g, 2.0 * gamma) for gamma in gammas]
-    weights += [fourier_weight(g, d.alpha1, "x"), fourier_weight(g, d.alpha2, "y"),
-                np.square(chi, out=chi), np.square(high, out=high)]
-    *hg, diss_x, diss_y, ul_l2, uh_l2 = parseval_sums(s.u_hat, weights)
+    weights += [fourier_weight(g, d.alpha1, "x"), fourier_weight(g, d.alpha2, "y")]
+    with ws.lock:
+        l1, l2, l4, linf = lp_norms(u, _SUPPORTED_P)
+        chi = c.symbol(s.t, d, out=ws.chi)
+        high = np.subtract(1.0, chi, out=ws.weight)
+        weights += [np.square(chi, out=chi), np.square(high, out=high)]
+        *hg, diss_x, diss_y, ul_l2, uh_l2 = parseval_sums(s.u_hat, weights)
     return NormSample(
         t=s.t,
         l1=l1,

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft as _fft
 
 from .errors import NonFiniteStateError
-from .spectral import FFT_WORKERS, GridSpec, band_layout, fourier_weight, workspace
+from .spectral import FFT_WORKERS, BandLayout, GridSpec, band_layout, fourier_weight
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,15 @@ class FluxSpec:
             return w
 
 
+@lru_cache(maxsize=4)
+def _band_lattice(band: BandLayout) -> tuple[np.ndarray, threading.Lock]:
+    """The complex half lattice that nonlinear_coeffs scatters band into,
+    zero outside the band, and the lock held while it is in use; built on
+    first use, the least recently used of more than 4 bands dropped."""
+    g = band.grid
+    return np.zeros((g.nx, g.ny // 2 + 1), dtype=np.complex128), threading.Lock()
+
+
 def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec,
                      u: np.ndarray | None = None) -> np.ndarray:
     """Spectral divergence of the flux, i*(xi1+xi2) * F[f(u)], on the band.
@@ -68,10 +79,11 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec,
     alias-free band before the pointwise power is taken, and the result is
     kept on the band only, so the monomial products are exact on the
     retained modes.  The zero mode vanishes identically: the flux is in
-    divergence form.  The band is scattered into the thread's workspace
-    lattice (spectral.workspace), whose entries outside the band stay zero;
-    the flux power and both area scalings are taken in place, so a call
-    allocates only the two FFT outputs, the result and the finiteness mask.
+    divergence form.  The band is scattered into one lattice per band kept
+    for the process, whose entries outside the band stay zero, under that
+    lattice's lock; the flux power and both area scalings are taken in
+    place, so a call allocates only the two FFT outputs, the result and the
+    finiteness mask.
 
     u, when given, is the real field of the scattered band, already known
     to the caller; its inverse transform is then skipped and the flux power
@@ -80,8 +92,10 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec,
     band = band_layout(grid, flux.dealias_denom)
     area = grid.cell_area()
     if u is None:
-        lattice = band.scatter(coeffs, out=workspace(grid).band_lattice(band))
-        u = _fft.irfft2(lattice, s=(grid.nx, grid.ny), workers=FFT_WORKERS)
+        lattice, lock = _band_lattice(band)
+        with lock:
+            u = _fft.irfft2(band.scatter(coeffs, out=lattice), s=(grid.nx, grid.ny),
+                            workers=FFT_WORKERS)
         u /= area
         w = flux(u, out=u)
     else:

@@ -13,8 +13,7 @@ from .freqsplit import CutoffSpec
 from .io import checkpoint_write, write_timeseries
 from .norms import NormSample, record
 from .operators import DissipationSpec, FluxSpec
-from .spectral import (GridSpec, PhysicalField, band_layout, forward_transform, share_workspaces,
-                       thread_workspaces)
+from .spectral import GridSpec, PhysicalField, band_layout, forward_transform
 from .timestepper import SimState, cfl_dt, step_ifrk4
 
 _SNAP_TOL = 1e-9
@@ -113,8 +112,8 @@ def run_simulation(cfg: RunConfig) -> tuple[list[NormSample], SimState]:
     hands the state to one background sampler thread that runs record
     while the caller steps the next interval.  At most one sample is in
     flight, and the series is assembled in sample order.  The sampler
-    shares the caller's spectral workspaces: it uses only the norms'
-    scratch, the stepping only the band lattices.
+    takes the norms' scratch arrays and the stepping the band lattice of
+    the flux, each under its own lock, so neither waits on the other.
 
     Deterministic for a given config: the series, the final state and the
     files are the bits a serial advance_to + record loop gives, and so are
@@ -129,9 +128,7 @@ def run_simulation(cfg: RunConfig) -> tuple[list[NormSample], SimState]:
     gammas = list(cfg.gammas)
     series: list[NormSample] = []
     failed = None
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="anisoflow-sampler",
-                            initializer=share_workspaces,
-                            initargs=(thread_workspaces(),)) as sampler:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="anisoflow-sampler") as sampler:
         state.physical  # built on this thread; the sampler only reads it
         pending = sampler.submit(record, state, cutoff, gammas)
         try:

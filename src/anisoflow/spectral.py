@@ -23,24 +23,10 @@ lattice packed into one smaller array, gathered from and scattered back to
 the half lattice once per step.  The layout is the one owner of the band's
 row order: truncation to the band and the fold onto |j| that the energy
 ledger sums over both go through it.
-
-The hot per-call temporaries of the norms and of the flux right-hand side
-are 1-2 MB each at 512^2.  Allocated afresh on every call, they went back
-to the operating system after each call and were faulted in again on the
-next.  So they live in a Workspace instead: preallocated arrays of one
-grid, one workspace per grid and per thread (workspace), at most
-WORKSPACE_GRIDS grids per thread.  A workspace array is overwritten by the
-next call that uses it, so nothing a function returns is, or views, one of
-them.  A helper thread may share the workspaces of the thread that starts
-it (thread_workspaces, share_workspaces) when the two never use the same
-arrays at once: run.run_simulation's sampler thread takes the norms'
-scratch while the stepping thread uses only the band lattices, so a
-sampled run keeps one set of scratch arrays resident, not two.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -52,9 +38,6 @@ import scipy.fft as _fft
 FFT_WORKERS = 2
 
 _MIN_POINTS = 8
-
-#: Grids whose Workspace one thread keeps; the least recently used goes first.
-WORKSPACE_GRIDS = 4
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -275,90 +258,6 @@ class BandLayout:
             dest += rows.real ** 2
             dest += rows.imag ** 2
         return out
-
-
-class Workspace:
-    """Scratch arrays of one grid for one thread; see workspace.
-
-    The real arrays and the half-lattice ones are views of one flat array
-    of 4 half lattices (about 2*nx*ny floats), so they overlap: abs_u and
-    power are used only inside norms.lp_norms, and abs2, product, weight
-    and chi, which are disjoint, only outside it.
-
-    abs_u, power : (nx, ny)
-        |u| and one power of it (norms.lp_norms).
-    abs2, product : half lattice, real
-        |coeffs|^2 and one weight times it (norms.parseval_sums).
-    weight, chi : half lattice, real
-        The cutoff chi and the weight (1 - chi)^2 of the high part
-        (norms.record).
-    columns : (ny//2 + 1,)
-        The column sums of product (norms.parseval_sums).
-    lattices : dict BandLayout -> complex half lattice
-        One array per band, zero outside it, that operators.nonlinear_coeffs
-        scatters the band into; see band_lattice.
-    """
-
-    def __init__(self, grid: GridSpec):
-        real, half = (grid.nx, grid.ny), (grid.nx, grid.ny // 2 + 1)
-        n_real, n_half = grid.nx * grid.ny, grid.nx * half[1]
-        flat = np.empty(4 * n_half)  # holds the 2 real arrays
-        self.abs_u, self.power = (flat[i * n_real: (i + 1) * n_real].reshape(real)
-                                  for i in range(2))
-        self.abs2, self.product, self.weight, self.chi = (
-            flat[i * n_half: (i + 1) * n_half].reshape(half) for i in range(4))
-        self.columns = np.empty(half[1])
-        self.lattices: dict[BandLayout, np.ndarray] = {}
-
-    def band_lattice(self, band: BandLayout) -> np.ndarray:
-        """This workspace's complex half lattice for band: zero outside the
-        band, so band.scatter(b, out=...) only has to write the band."""
-        out = self.lattices.get(band)
-        if out is None:
-            g = band.grid
-            out = self.lattices[band] = np.zeros((g.nx, g.ny // 2 + 1), dtype=np.complex128)
-        return out
-
-
-_workspaces = threading.local()
-# guards the least-recently-used order of a set of workspaces that
-# share_workspaces has given to two threads
-_workspaces_lock = threading.Lock()
-
-
-def thread_workspaces() -> dict[GridSpec, Workspace]:
-    """The calling thread's workspaces by grid (see workspace)."""
-    spaces = getattr(_workspaces, "by_grid", None)
-    if spaces is None:
-        spaces = _workspaces.by_grid = {}
-    return spaces
-
-
-def share_workspaces(spaces: dict[GridSpec, Workspace]) -> None:
-    """Make the calling thread use spaces, another thread's workspaces.
-
-    Only for a helper thread that never uses the same workspace array as
-    the owner at the same time, such as run.run_simulation's sampler.
-    """
-    _workspaces.by_grid = spaces
-
-
-def workspace(grid: GridSpec) -> Workspace:
-    """The calling thread's Workspace for grid, built on first use.
-
-    Each thread keeps its own, for at most WORKSPACE_GRIDS grids, so threads
-    working on different states never share a scratch array, unless one of
-    them shares the other's through share_workspaces.
-    """
-    spaces = thread_workspaces()
-    with _workspaces_lock:
-        ws = spaces.pop(grid, None)
-        if ws is None:
-            ws = Workspace(grid)
-            if len(spaces) >= WORKSPACE_GRIDS:
-                del spaces[next(iter(spaces))]
-        spaces[grid] = ws
-    return ws
 
 
 @lru_cache(maxsize=32)

@@ -103,10 +103,17 @@ class TestLoadConfig:
             with pytest.raises(ValueError):
                 parse_ic(bad)
 
-    @pytest.mark.parametrize("center", ["nan, 0", "0, inf", "-inf, nan"])
-    def test_nonfinite_gaussian_center_rejected(self, tmp_path, center):
-        with pytest.raises(ConfigError, match="'ic'.*center"):
-            load_config(write_cfg(tmp_path, f"ic = gaussian(1, 1, {center})\n"))
+    @pytest.mark.parametrize("ic,what", [
+        ("gaussian(1, 1, nan, 0)", "center"),
+        ("gaussian(1, 1, 0, inf)", "center"),
+        ("gaussian(1, 1, -inf, nan)", "center"),
+        ("random_blob(1, nan, 0.5)", "amplitude"),
+        ("single_mode(1, 1, inf)", "amplitude"),
+    ], ids=["nan, 0", "0, inf", "-inf, nan", "random_blob-amplitude", "single_mode-amplitude"])
+    def test_nonfinite_gaussian_center_rejected(self, tmp_path, ic, what):
+        # every form's nonfinite entries, not only the gaussian center
+        with pytest.raises(ConfigError, match=f"'ic'.*{what}"):
+            load_config(write_cfg(tmp_path, f"ic = {ic}\n"))
 
     def test_full_file(self, tmp_path):
         text = (
@@ -399,7 +406,9 @@ class TestCli:
         ("--quantity", ["analyze", "ts.csv", "--quantity", "hg:x", "--window", "1,2"]),
         ("--window", ["analyze", "ts.csv", "--window", "1,2,3"]),
         ("--window", ["analyze", "ts.csv", "--window", "a,b"]),
-    ], ids=["space", "quantity", "window-arity", "window-float"])
+        ("--window", ["analyze", "ts.csv", "--window", "10,5"]),
+        ("--window", ["analyze", "ts.csv", "--window", "nan,5"]),
+    ], ids=["space", "quantity", "window-arity", "window-float", "window-order", "window-nan"])
     def test_bad_flag_value_is_a_usage_error(self, flag, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)

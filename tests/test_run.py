@@ -19,8 +19,10 @@ from anisoflow import (
     sample_times,
 )
 from anisoflow.io import checkpoint_write, write_timeseries
+from anisoflow.errors import BlowUpError
+from anisoflow.norms import workspace
 from anisoflow.run import advance_to
-from anisoflow.spectral import inverse_transform, workspace
+from anisoflow.spectral import inverse_transform
 
 
 def small_config(tmp_path, **overrides):
@@ -130,6 +132,37 @@ def test_sampler_shares_the_callers_workspace(tmp_path, monkeypatch):
     threads = {thread for thread, _ in seen}
     assert len(threads) == 1 and threading.current_thread() not in threads
     assert all(ws is mine for _, ws in seen)
+
+
+def sampler_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("anisoflow-sampler")]
+
+
+@pytest.mark.parametrize("ending", [None, "record", "step_ifrk4"],
+                         ids=["normal", "record-error", "blow-up"])
+def test_no_sampler_thread_outlives_the_run(tmp_path, monkeypatch, ending):
+    real_record, real_step = run_mod.record, run_mod.step_ifrk4
+
+    def failing_record(s, *args):
+        if s.t >= 0.5:
+            raise ValueError("record failed")
+        return real_record(s, *args)
+
+    def exploding_step(s, dt):
+        if s.t >= 0.5:
+            raise BlowUpError(s.t + dt)
+        return real_step(s, dt)
+
+    assert not sampler_threads()
+    if ending is None:
+        run_simulation(small_config(tmp_path))
+    else:
+        failing, error = {"record": (failing_record, ValueError),
+                          "step_ifrk4": (exploding_step, BlowUpError)}[ending]
+        monkeypatch.setattr(run_mod, ending, failing)
+        with pytest.raises(error):
+            run_simulation(small_config(tmp_path))
+    assert not sampler_threads()
 
 
 class TestPhysicalField:

@@ -1,6 +1,6 @@
-"""The per-grid, per-thread scratch workspace behind the norms and the flux
-right-hand side: transient allocation budgets, no result aliasing a
-workspace array, and record on several threads at once."""
+"""The per-grid scratch workspace of the norms and the per-band lattice of
+the flux right-hand side: transient allocation budgets, no result aliasing
+a scratch array, and the norms and the flux on several threads at once."""
 
 import sys
 import threading
@@ -21,15 +21,9 @@ from anisoflow import (
     record,
     step_ifrk4,
 )
-from anisoflow.operators import nonlinear_coeffs
-from anisoflow.spectral import (
-    WORKSPACE_GRIDS,
-    SpectralField,
-    band_layout,
-    share_workspaces,
-    thread_workspaces,
-    workspace,
-)
+from anisoflow.norms import lp_norms, parseval_sums, workspace
+from anisoflow.operators import _band_lattice, nonlinear_coeffs
+from anisoflow.spectral import SpectralField, band_layout, fourier_weight
 
 N = 128
 
@@ -66,10 +60,10 @@ def transient_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def workspace_arrays(grid):
+def scratch_arrays(grid, band):
     ws = workspace(grid)
     return [ws.abs_u, ws.power, ws.abs2, ws.product, ws.weight, ws.chi, ws.columns,
-            *ws.lattices.values()]
+            _band_lattice(band)[0]]
 
 
 class TestAllocationBudget:
@@ -114,8 +108,8 @@ class TestNoAliasing:
             "nonlinear_coeffs": nonlinear_coeffs(grid, band.gather(s.u_hat.coeffs), s.flux),
             "inverse_transform": inverse_transform(s.u_hat).values,
         }
-        arrays = workspace_arrays(grid)
-        assert workspace(grid).lattices, "nonlinear_coeffs used no workspace lattice"
+        arrays = scratch_arrays(grid, band)
+        assert arrays[-1].any(), "nonlinear_coeffs scattered into no band lattice"
         for name, r in results.items():
             assert not any(np.shares_memory(r, a) for a in arrays), name
 
@@ -137,82 +131,100 @@ class TestNoAliasing:
 
 
 class TestPerThread:
-    def test_one_workspace_per_grid_and_thread_bounded(self, grid):
-        ws = workspace(grid)
-        assert workspace(grid) is ws
+    def test_one_workspace_per_grid_bounded(self, grid):
+        band = band_layout(grid, 3)
+        ws, lattice = workspace(grid), _band_lattice(band)
         other = []
-        t = threading.Thread(target=lambda: other.append(workspace(grid)))
+        t = threading.Thread(target=lambda: other.append((workspace(grid), _band_lattice(band))))
         t.start()
         t.join(timeout=30)
-        assert not t.is_alive() and other[0] is not ws
-        # using WORKSPACE_GRIDS other grids drops the least recently used
-        for n in range(WORKSPACE_GRIDS):
-            workspace(make_grid(16 + 2 * n, 16, 1.0, 1.0))
+        assert not t.is_alive()
+        assert other[0][0] is ws and other[0][1] is lattice
+        # using 4 other grids drops the least recently used
+        for n in range(4):
+            g = make_grid(16 + 2 * n, 16, 1.0, 1.0)
+            workspace(g)
+            _band_lattice(band_layout(g, 3))
         assert workspace(grid) is not ws
-
-    def test_shared_workspaces_stay_one_per_grid(self):
-        # more threads than the 2 cores share one thread's workspaces and
-        # look up WORKSPACE_GRIDS grids at a short switch interval; a lost
-        # update of the least-recently-used order would build a second
-        # workspace for a grid
-        grids = [make_grid(16 + 2 * n, 16, 1.0, 1.0) for n in range(WORKSPACE_GRIDS)]
-        spaces = thread_workspaces()
-        owned = {g: workspace(g) for g in grids}
-        seen, errors = [], []
-
-        def work(i):
-            try:
-                share_workspaces(spaces)
-                for k in range(2000):
-                    g = grids[(i + k) % len(grids)]
-                    seen.append((g, workspace(g)))
-            except Exception as exc:  # reported by the assertion below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert not errors
-        assert len(seen) == 6 * 2000
-        assert all(ws is owned[g] for g, ws in seen)
+        assert _band_lattice(band) is not lattice
 
     def test_record_on_threads_equals_serial(self, grid):
         # more threads than the 2 cores, each with its own states, and a
-        # short switch interval so the threads interleave inside record
+        # short switch interval so the threads interleave inside record;
+        # one more thread takes the norms' primitives on the same grid
+        # between the records of the others
         cutoff = CutoffSpec(4.0)
         amplitudes = (5.0, 2.0, 3.5, 1.0)
         states = [[gaussian_state(grid, t, kappa=None, amplitude=a, shift=a)
                    for t in (0.0, 0.5, 3.0)] for a in amplitudes]
         serial = [[record(s, cutoff, [1, 2]) for s in row] for row in states]
+        lone = gaussian_state(grid, kappa=None, amplitude=4.0, shift=-3.0)
+        weights = [fourier_weight(grid, 2.0), fourier_weight(grid, 1.5, "x")]
+
+        def primitives():
+            return (lp_norms(lone.physical, (1, 2, 4, np.inf)),
+                    parseval_sums(lone.u_hat, weights))
+
+        serial_primitives = primitives()
         threaded = [[] for _ in amplitudes]
+        threaded_primitives = []
         errors = []
 
         def work(i):
             try:
                 for _ in range(40):
-                    threaded[i].extend(record(s, cutoff, [1, 2]) for s in states[i])
+                    if i == len(amplitudes):
+                        threaded_primitives.append(primitives())
+                    else:
+                        threaded[i].extend(record(s, cutoff, [1, 2]) for s in states[i])
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(amplitudes))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(amplitudes) + 1)]
+        run_threads(threads, 1e-5)
         assert not errors
         for i in range(len(amplitudes)):
             assert threaded[i] == serial[i] * 40
+        assert threaded_primitives == [serial_primitives] * 40
+
+    def test_step_on_threads_equals_serial(self, grid):
+        # two threads step different states of one grid through the flux,
+        # whose shared band lattice each scatter overwrites
+        states = [gaussian_state(grid), gaussian_state(grid, amplitude=3.0, shift=4.0)]
+
+        def steps(s):
+            out = []
+            for _ in range(6):
+                s = step_ifrk4(s, 0.05)
+                out.append((s.u_hat.coeffs.tobytes(), repr(s.ledger)))
+            return out
+
+        serial = [steps(s) for s in states]
+        threaded = [None] * len(states)
+        errors = []
+
+        def work(i):
+            try:
+                threaded[i] = steps(states[i])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(states))]
+        run_threads(threads, 1e-6)
+        assert not errors
+        assert threaded == serial
+
+
+def run_threads(threads, interval):
+    """Start and join threads at a short switch interval, so that they
+    interleave inside the calls they make; assert that they all ended."""
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(interval)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
