@@ -13,6 +13,7 @@ import argparse
 import math
 import time
 from dataclasses import replace
+from functools import partial
 
 from anisoflow import (
     GaussianIC,
@@ -24,13 +25,13 @@ from anisoflow import (
     sample_times,
     theoretical_exponent,
 )
-from anisoflow.cli import parse_window
+from anisoflow.cli import parse_floats, parse_window
 from anisoflow.config import validate_config
 
 
 def build(args) -> RunConfig:
-    """The run config, checked against the fit window before anything runs."""
-    a1, a2 = (float(x) for x in args.alphas.split(","))
+    """The run config, checked with the fit window and tol before anything runs."""
+    a1, a2 = args.alphas
     cfg = RunConfig(
         nx=args.nx, ny=args.nx, lx=args.box * math.pi, ly=args.box * math.pi,
         alpha1=a1, alpha2=a2, t_end=args.t_end, sample_every=args.sample_every,
@@ -38,6 +39,8 @@ def build(args) -> RunConfig:
         nonlinearity_enabled=not args.linear, timeseries_path=args.csv or "",
     )
     validate_config(cfg)
+    if not 0.0 <= args.tol < math.inf:  # the audit's rule, checked before the run
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     # a dry fit on the run's sample times raises the error the real fits
     # would raise after the run, if the window holds too few samples
     times = [0.0] + sample_times(cfg.t_end, cfg.sample_every)
@@ -88,7 +91,7 @@ def report(args, cfg: RunConfig) -> None:
 
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--alphas", default="2,2")
+    p.add_argument("--alphas", default="2,2", type=partial(parse_floats, count=2), help="a1,a2")
     p.add_argument("--amplitude", type=float, default=5.0)
     p.add_argument("--radius", type=float, default=2.5)
     p.add_argument("--nx", type=int, default=512)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+from functools import partial
 
 from anisoflow import (
     DissipationSpec,
@@ -20,6 +21,7 @@ from anisoflow import (
     corpus_report,
     generate_corpus,
 )
+from anisoflow.cli import parse_floats
 
 
 def main() -> None:
@@ -28,12 +30,12 @@ def main() -> None:
     p.add_argument("--seeds", default="1,2")
     p.add_argument("--nx", type=int, default=128)
     p.add_argument("--nx-fine", type=int, default=256)
-    p.add_argument("--alphas", default="1.5,2")
+    p.add_argument("--alphas", default="1.5,2", type=partial(parse_floats, count=2), help="a1,a2")
     p.add_argument("--gamma", type=int, default=1)
     p.add_argument("--decay", type=float, default=1.0, help="powerlaw envelope decay")
     args = p.parse_args()
 
-    a1, a2 = (float(x) for x in args.alphas.split(","))
+    a1, a2 = args.alphas
     seeds = [int(s) for s in args.seeds.split(",")]
     law = SpectrumLaw("powerlaw", decay=args.decay)
 

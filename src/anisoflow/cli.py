@@ -6,8 +6,9 @@ import argparse
 import math
 import re
 import sys
+from functools import partial
 
-from .config import load_config, parse_keys
+from .config import load_config, parse_call, parse_keys
 from .decay import energy_audit, fit_power_law, max_principle_audit, theoretical_exponent
 from .errors import ConfigError
 from .ineq import FieldCorpusSpec, SpectrumLaw, corpus_report, generate_corpus
@@ -17,8 +18,16 @@ from .run import run_simulation
 from .spectral import make_grid
 
 
-def _parse_alphas(raw: str) -> list[float]:
-    return [float(p) for p in raw.split(",") if p.strip()]
+def parse_floats(raw: str, count: int | None = None) -> list[float]:
+    """`a,b,...` -> the numbers, exactly count of them when count is given;
+    parses --alphas here and in the scripts, which take two."""
+    try:
+        values = [float(p) for p in raw.split(",") if p.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {raw!r}") from None
+    if count is not None and len(values) != count:
+        raise argparse.ArgumentTypeError(f"must be {count} comma-separated numbers, got {raw!r}")
+    return values
 
 
 def _parse_space(raw: str) -> tuple[str, int | None]:
@@ -34,10 +43,7 @@ def _parse_space(raw: str) -> tuple[str, int | None]:
 def parse_window(raw: str) -> tuple[float, float]:
     """`lo,hi` with finite lo < hi -> the (lo, hi) fit window; shared with
     the decay script."""
-    try:
-        lo, hi = (float(p) for p in raw.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be lo,hi, got {raw!r}") from None
+    lo, hi = parse_floats(raw, 2)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise argparse.ArgumentTypeError(f"must be finite lo < hi, got {raw!r}")
     return lo, hi
@@ -56,7 +62,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_exponent(args) -> int:
     space, gamma = args.space
-    value = theoretical_exponent(_parse_alphas(args.alphas), space, gamma)
+    value = theoretical_exponent(args.alphas, space, gamma)
     print(repr(value))
     return 0
 
@@ -66,7 +72,7 @@ def _cmd_analyze(args) -> int:
     series = read_timeseries(args.csv)
     theoretical = math.nan
     if args.alphas:
-        theoretical = theoretical_exponent(_parse_alphas(args.alphas), space, gamma)
+        theoretical = theoretical_exponent(args.alphas, space, gamma)
     if gamma is None:
         column, pts = "l2", [(s.t, s.l2) for s in series]
     else:
@@ -84,65 +90,35 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-_LAW_RE = re.compile(r"^(\w+)\s*(?:\((.*)\))?$")
-
-#: spectrum law -> (the argument counts it takes, its usage)
-_LAW_ARITY = {
-    "flat": ((0,), "flat"),
-    "powerlaw": ((0, 1), "powerlaw[(decay)]"),
-    "ring": ((1, 2), "ring(k0[, width])"),
+#: spectrum law -> (the argument counts it takes, its usage, its builder)
+_LAWS = {
+    "flat": ((0,), "flat", lambda: SpectrumLaw("flat")),
+    "powerlaw": ((0, 1), "powerlaw[(decay)]",
+                 lambda decay=1.0: SpectrumLaw("powerlaw", decay=float(decay))),
+    "ring": ((1, 2), "ring(k0[, width])",
+             lambda k0, width=1.0: SpectrumLaw("ring", k0=float(k0), width=float(width))),
 }
 
-
-def parse_spectrum_law(raw: str) -> SpectrumLaw:
-    m = _LAW_RE.match(raw.strip())
-    if not m:
-        raise ValueError(f"malformed spectrum law {raw!r}")
-    name = m.group(1).lower()
-    if name not in _LAW_ARITY:
-        raise ValueError(f"unknown spectrum law {name!r}")
-    args = [float(a) for a in m.group(2).split(",")] if m.group(2) else []
-    counts, usage = _LAW_ARITY[name]
-    if len(args) not in counts:
-        raise ValueError(f"expected {usage}, got {raw!r}")
-    if name == "flat":
-        return SpectrumLaw("flat")
-    if name == "powerlaw":
-        return SpectrumLaw("powerlaw", decay=args[0] if args else 1.0)
-    return SpectrumLaw("ring", k0=args[0], width=args[1] if len(args) == 2 else 1.0)
-
-
-_LAB_PARSERS = {
-    "count": int,
-    "seed": int,
-    "spectrum": parse_spectrum_law,
-    "band_limit": float,
-    "nx": int,
-    "ny": int,
-    "lx": float,
-    "ly": float,
-    "alpha1": float,
-    "alpha2": float,
-    "gamma": int,
-}
-
-_LAB_DEFAULTS = {
-    "count": 200,
-    "seed": 1,
-    "spectrum": SpectrumLaw("powerlaw", decay=1.0),
-    "band_limit": 2.0 / 3.0,
-    "nx": 128,
-    "ny": 128,
-    "lx": 2.0 * math.pi,
-    "ly": 2.0 * math.pi,
-    "alpha1": 1.5,
-    "alpha2": 2.0,
-    "gamma": 1,
+#: ineq-lab key -> (its parser, its default)
+_LAB = {
+    "count": (int, 200),
+    "seed": (int, 1),
+    "spectrum": (partial(parse_call, forms=_LAWS, what="spectrum law"),
+                 SpectrumLaw("powerlaw", decay=1.0)),
+    "band_limit": (float, 2.0 / 3.0),
+    "nx": (int, 128),
+    "ny": (int, 128),
+    "lx": (float, 2.0 * math.pi),
+    "ly": (float, 2.0 * math.pi),
+    "alpha1": (float, 1.5),
+    "alpha2": (float, 2.0),
+    "gamma": (int, 1),
 }
 
 
 def load_lab_config(path: str) -> dict:
-    return {**_LAB_DEFAULTS, **parse_keys(path, _LAB_PARSERS, "ineq-lab")}
+    lab = parse_keys(path, {key: parser for key, (parser, _) in _LAB.items()}, "ineq-lab")
+    return {key: lab.get(key, default) for key, (_, default) in _LAB.items()}
 
 
 def _cmd_ineq_lab(args) -> int:
@@ -193,7 +169,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("exponent", help="print the theoretical decay exponent")
-    p.add_argument("--alphas", required=True, help="comma-separated, each in (1,2]")
+    p.add_argument("--alphas", required=True, type=parse_floats,
+                   help="comma-separated, each in (1,2]")
     p.add_argument("--space", default="l2", type=_parse_space, help="l2 or hg:<gamma>")
     p.set_defaults(func=_cmd_exponent)
 
@@ -201,7 +178,8 @@ def main(argv=None) -> int:
     p.add_argument("csv")
     p.add_argument("--quantity", default="l2", type=_parse_space, help="l2 or hg:<gamma>")
     p.add_argument("--window", required=True, type=parse_window, help="lo,hi")
-    p.add_argument("--alphas", default="", help="optional, for the theoretical rate")
+    p.add_argument("--alphas", default=[], type=parse_floats,
+                   help="optional, for the theoretical rate")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("ineq-lab", help="inequality ratio reports over a corpus")

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .freqsplit import default_mu
+from .operators import FluxSpec
+from .spectral import band_layout, make_grid
 
 
 @dataclass(frozen=True)
@@ -77,37 +79,41 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(p.strip()) for p in raw.split(",") if p.strip())
 
 
-_IC_RE = re.compile(r"^(\w+)\s*\((.*)\)$")
+_CALL_RE = re.compile(r"(\w+)\s*(?:\((.*)\))?")
+
+
+def parse_call(raw: str, forms: dict, what: str):
+    """Parse `name`, `name()` or `name(a, ...)` against forms, a table of
+    name -> (the argument counts it takes, its usage, its builder), and
+    return the builder applied to the argument strings."""
+    m = _CALL_RE.fullmatch(raw.strip())
+    if not m:
+        raise ValueError(f"malformed {what} {raw!r}")
+    name, argstr = m.group(1).lower(), m.group(2) or ""
+    if name not in forms:
+        raise ValueError(f"unknown {what} {name!r}")
+    counts, usage, build = forms[name]
+    args = [a.strip() for a in argstr.split(",")] if argstr.strip() else []
+    if len(args) not in counts:
+        raise ValueError(f"expected {usage}, got {raw!r}")
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"bad {what} {raw!r}: {exc}") from None
+
+
+_IC_FORMS = {
+    "gaussian": ((2, 4), "gaussian(amplitude, radius[, cx, cy])",
+                 lambda a, r, *c: GaussianIC(float(a), float(r), tuple(map(float, c)) or None)),
+    "random_blob": ((3,), "random_blob(seed, amplitude, band)",
+                    lambda s, a, b: RandomBlobIC(int(s), float(a), float(b))),
+    "single_mode": ((3,), "single_mode(k1, k2, amplitude)",
+                    lambda k1, k2, a: SingleModeIC(int(k1), int(k2), float(a))),
+}
 
 
 def parse_ic(raw: str) -> InitialCondition:
-    """Parse `gaussian(a, r[, cx, cy])`, `random_blob(seed, a, band)`,
-    or `single_mode(k1, k2, a)`."""
-    m = _IC_RE.match(raw.strip())
-    if not m:
-        raise ValueError(f"malformed initial condition {raw!r}")
-    name, argstr = m.group(1).lower(), m.group(2)
-    args = [a.strip() for a in argstr.split(",")] if argstr.strip() else []
-    try:
-        if name == "gaussian":
-            if len(args) == 2:
-                return GaussianIC(float(args[0]), float(args[1]))
-            if len(args) == 4:
-                return GaussianIC(
-                    float(args[0]), float(args[1]), (float(args[2]), float(args[3]))
-                )
-            raise ValueError("gaussian takes (amplitude, radius[, cx, cy])")
-        if name == "random_blob":
-            if len(args) != 3:
-                raise ValueError("random_blob takes (seed, amplitude, band)")
-            return RandomBlobIC(int(args[0]), float(args[1]), float(args[2]))
-        if name == "single_mode":
-            if len(args) != 3:
-                raise ValueError("single_mode takes (k1, k2, amplitude)")
-            return SingleModeIC(int(args[0]), int(args[1]), float(args[2]))
-    except ValueError as exc:
-        raise ValueError(f"bad initial condition {raw!r}: {exc}") from None
-    raise ValueError(f"unknown initial condition kind {name!r}")
+    return parse_call(raw, _IC_FORMS, "initial condition")
 
 
 _PARSERS = {
@@ -130,30 +136,25 @@ _PARSERS = {
 }
 
 
-def parse_flat_file(path: str) -> dict[str, str]:
-    """Read a `key = value` file, stripping comments; raw string values."""
+def parse_keys(path: str, parsers: dict, what: str) -> dict:
+    """Parse a flat `key = value` file, `#` comments stripped, with one
+    parser per key.  A malformed line or a duplicate key raises ConfigError
+    naming the line; unknown keys, all listed, and bad values raise it
+    naming the key.  Absent keys are left out."""
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
-            if "=" not in stripped:
+            key, eq, value = (p.strip() for p in stripped.partition("="))
+            if not eq:
                 raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {line.strip()!r}")
-            key, value = stripped.split("=", 1)
-            key = key.strip()
             if not key:
                 raise ConfigError(f"{path}:{lineno}: empty key")
             if key in raw:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value.strip()
-    return raw
-
-
-def parse_keys(path: str, parsers: dict, what: str) -> dict:
-    """Parse each key of a flat file with its parser; unknown keys and bad
-    values raise ConfigError naming the key.  Absent keys are left out."""
-    raw = parse_flat_file(path)
+            raw[key] = value
     unknown = sorted(set(raw) - set(parsers))
     if unknown:
         raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
@@ -189,8 +190,8 @@ def validate_config(cfg: RunConfig) -> None:
         fail("cfl_safety", f"must lie in (0, 1], got {cfg.cfl_safety}")
     if cfg.mu is not None and not (cfg.mu > 0 and math.isfinite(cfg.mu)):
         fail("mu", f"must be positive, got {cfg.mu}")
-    if not cfg.gammas or any(g < 1 for g in cfg.gammas):
-        fail("gammas", f"must be a nonempty list of integers >= 1, got {cfg.gammas}")
+    if not cfg.gammas or any(g < 1 for g in cfg.gammas) or len(set(cfg.gammas)) < len(cfg.gammas):
+        fail("gammas", f"must be a nonempty list of distinct integers >= 1, got {cfg.gammas}")
     ic = cfg.ic
     if not math.isfinite(ic.amplitude):
         fail("ic", f"amplitude must be finite, got {ic.amplitude}")
@@ -207,6 +208,13 @@ def validate_config(cfg: RunConfig) -> None:
     elif isinstance(ic, SingleModeIC):
         if abs(ic.k1) > cfg.nx // 2 - 1 or abs(ic.k2) > cfg.ny // 2 - 1:
             fail("ic", f"single_mode indices ({ic.k1}, {ic.k2}) exceed the lattice")
+        if cfg.nonlinearity_enabled:
+            # both rows +-k1 of the mode's coefficients must lie in the band
+            band = band_layout(make_grid(cfg.nx, cfg.ny, cfg.lx, cfg.ly),
+                               FluxSpec(cfg.kappa).dealias_denom)
+            if abs(ic.k1) >= min(band.n_pos, band.n_neg + 1) or abs(ic.k2) >= band.ncols:
+                fail("ic", f"single_mode ({ic.k1}, {ic.k2}) lies outside the alias-free "
+                           "band that the flux keeps")
 
 
 def load_config(path: str) -> RunConfig:

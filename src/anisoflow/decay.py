@@ -13,7 +13,7 @@ from .norms import NormSample
 #: Denominator floor for the energy residual; makes 0/0 read as 0.
 RESIDUAL_EPS = 1e-300
 
-_AUDITED = (("l1", 1), ("l2", 2), ("l4", 4), ("linf", "inf"))
+_AUDITED = ("l1", "l2", "l4", "linf")
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,12 @@ def max_principle_audit(series: Sequence[NormSample], tol: float) -> MaxPrincipl
     """Check each monitored L^p history is nonincreasing within (1+tol)."""
     if not series:
         raise ValueError("max principle audit needs a nonempty series")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"max principle tol must be finite and >= 0, got {tol}")
     worst = 0.0
     worst_t = series[0].t
     worst_q = ""
-    for name, _ in _AUDITED:
+    for name in _AUDITED:
         vals = [getattr(s, name) for s in series]
         for k in range(len(vals) - 1):
             prev, nxt = vals[k], vals[k + 1]

@@ -78,17 +78,9 @@ class RatioReport:
     exponents: dict[str, float]
 
 
-def _half_spectrum(spec: FieldCorpusSpec, rng: np.random.Generator) -> np.ndarray:
-    """One rfft2-layout spectrum: prescribed moduli, random phases, real field."""
-    nx, ny = spec.grid.nx, spec.grid.ny
-    hy = ny // 2 + 1
-    env = spec.spectrum_law.envelope(spec.grid.xi_mod)
-    env = np.where(
-        (np.abs(spec.grid.jx[:, None]) <= spec.band_limit * nx / 2.0)
-        & (spec.grid.jy[None, :] <= spec.band_limit * ny / 2.0),
-        env,
-        0.0,
-    )
+def _half_spectrum(env: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One rfft2-layout spectrum: moduli env, random phases, real field."""
+    nx, hy = env.shape
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(nx, hy))
     c = env * np.exp(1j * phases)
     # self-conjugate columns (xi2 = 0 and xi2 = Nyquist) need Hermitian
@@ -105,15 +97,22 @@ def generate_corpus(spec: FieldCorpusSpec) -> list[PhysicalField]:
     """Synthesize the corpus; bit-identical for identical specs.
 
     The quadrature-weighted coefficients of each member have modulus
-    envelope(xi) * lx * ly on the retained band.
+    envelope(xi) * lx * ly on the retained band.  The masked envelope
+    draws nothing, so it is built once for the corpus.
     """
     rng = np.random.default_rng(spec.seed)
-    nx, ny = spec.grid.nx, spec.grid.ny
+    g = spec.grid
+    env = np.where(
+        (np.abs(g.jx[:, None]) <= spec.band_limit * g.nx / 2.0)
+        & (g.jy[None, :] <= spec.band_limit * g.ny / 2.0),
+        spec.spectrum_law.envelope(g.xi_mod),
+        0.0,
+    )
     fields = []
     for _ in range(spec.count):
-        c = _half_spectrum(spec, rng) * (nx * ny)
-        values = np.fft.irfft2(c, s=(nx, ny))
-        fields.append(PhysicalField(spec.grid, values))
+        c = _half_spectrum(env, rng) * (g.nx * g.ny)
+        values = np.fft.irfft2(c, s=(g.nx, g.ny))
+        fields.append(PhysicalField(g, values))
     return fields
 
 

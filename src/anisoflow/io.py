@@ -17,19 +17,21 @@ MAGIC = b"ANISOFL1"
 _HEADER = struct.Struct("<QQdddddQ")  # nx, ny, lx, ly, alpha1, alpha2, t, kappa
 
 
+#: the CSV's columns before and after its one hg<g> column per gamma
+_HEAD = ("t", "l1", "l2", "l4", "linf")
+_TAIL = ("diss_x", "diss_y", "ul_l2", "uh_l2")
+
+
 def timeseries_header(gammas) -> str:
-    cols = ["t", "l1", "l2", "l4", "linf", *(f"hg{g}" for g in gammas),
-            "diss_x", "diss_y", "ul_l2", "uh_l2"]
-    return ",".join(cols)
+    return ",".join([*_HEAD, *(f"hg{g}" for g in gammas), *_TAIL])
 
 
 def write_timeseries(series: list[NormSample], path: str, gammas) -> None:
     """CSV with full double precision (17 significant digits), time-ordered."""
     lines = [timeseries_header(gammas)]
     for s in series:
-        row = [s.t, s.l1, s.l2, s.l4, s.linf]
-        row += [s.hgamma[g] for g in gammas]
-        row += [s.diss_x, s.diss_y, s.ul_l2, s.uh_l2]
+        row = [*(getattr(s, c) for c in _HEAD), *(s.hgamma[g] for g in gammas),
+               *(getattr(s, c) for c in _TAIL)]
         lines.append(",".join(f"{v:.17g}" for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -41,8 +43,7 @@ def read_timeseries(path: str) -> list[NormSample]:
         header = fh.readline().strip()
         cols = header.split(",")
         gammas = [int(c[2:]) for c in cols if c.startswith("hg")]
-        expected = timeseries_header(gammas).split(",")
-        if cols != expected:
+        if cols != timeseries_header(gammas).split(","):
             raise ValueError(f"unexpected CSV header {header!r}")
         samples = []
         for line in fh:
@@ -51,12 +52,10 @@ def read_timeseries(path: str) -> list[NormSample]:
             vals = [float(p) for p in line.split(",")]
             if len(vals) != len(cols):
                 raise ValueError(f"row width {len(vals)} != header width {len(cols)}")
-            t, l1, l2, l4, linf = vals[:5]
-            hg = dict(zip(gammas, vals[5:5 + len(gammas)]))
-            diss_x, diss_y, ul_l2, uh_l2 = vals[5 + len(gammas):]
+            hg = vals[len(_HEAD):len(vals) - len(_TAIL)]
             samples.append(NormSample(
-                t=t, l1=l1, l2=l2, l4=l4, linf=linf, hgamma=hg,
-                diss_x=diss_x, diss_y=diss_y, ul_l2=ul_l2, uh_l2=uh_l2,
+                **dict(zip(_HEAD, vals)), hgamma=dict(zip(gammas, hg)),
+                **dict(zip(_TAIL, vals[len(vals) - len(_TAIL):])),
             ))
     return samples
 

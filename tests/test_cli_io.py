@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -34,7 +35,7 @@ from anisoflow.cli import load_lab_config, main as cli_main
 from anisoflow.config import RandomBlobIC, SingleModeIC, parse_ic
 from anisoflow.errors import CheckpointError, ConfigError
 from anisoflow.io import checkpoint_write, write_timeseries
-from anisoflow.run import advance_to, synthesize_ic
+from anisoflow.run import advance_to, initial_state, synthesize_ic
 
 TWO_PI = 2.0 * np.pi
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,8 +80,9 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path, "nx = 7\n"))
 
     def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="wavelength"):
-            load_config(write_cfg(tmp_path, "wavelength = 3\n"))
+        # every unknown key is listed, not only the first
+        with pytest.raises(ConfigError, match=r"unknown config key\(s\): foo, wavelength$"):
+            load_config(write_cfg(tmp_path, "wavelength = 3\nnx = 64\nfoo = 1\n"))
 
     def test_parse_error_carries_line_number(self, tmp_path):
         with pytest.raises(ConfigError, match=":3"):
@@ -109,11 +111,33 @@ class TestLoadConfig:
         ("gaussian(1, 1, -inf, nan)", "center"),
         ("random_blob(1, nan, 0.5)", "amplitude"),
         ("single_mode(1, 1, inf)", "amplitude"),
-    ], ids=["nan, 0", "0, inf", "-inf, nan", "random_blob-amplitude", "single_mode-amplitude"])
+        # on 16^2 the flux keeps |j| < 16/3; the mode would run from zero
+        ("single_mode(6, 0, 1.0)\nnx = 16\nny = 16\nlx = 6.283185307179586", "band"),
+    ], ids=["nan, 0", "0, inf", "-inf, nan", "random_blob-amplitude", "single_mode-amplitude",
+            "single_mode-outside-band"])
     def test_nonfinite_gaussian_center_rejected(self, tmp_path, ic, what):
         # every form's nonfinite entries, not only the gaussian center
         with pytest.raises(ConfigError, match=f"'ic'.*{what}"):
             load_config(write_cfg(tmp_path, f"ic = {ic}\n"))
+
+    def test_single_mode_band_edge(self, tmp_path):
+        grid = "nx = 16\nny = 16\nlx = 6.283185307179586\nly = 6.283185307179586\n"
+        for k in ("5, 0", "-5, 0", "0, 5", "-5, -5"):
+            cfg = load_config(write_cfg(tmp_path, f"{grid}ic = single_mode({k}, 1)\n"))
+            # the mode survives the truncation to the band
+            assert initial_state(cfg).u_hat.coeffs.any()
+        for k in ("6, 0", "-6, 0", "0, 6", "0, -6"):
+            with pytest.raises(ConfigError, match="'ic'.*band"):
+                load_config(write_cfg(tmp_path, f"{grid}ic = single_mode({k}, 1)\n"))
+            # without the flux nothing is truncated
+            load_config(write_cfg(tmp_path, f"{grid}ic = single_mode({k}, 1)\n"
+                                            "nonlinearity_enabled = false\n"))
+        with pytest.raises(ConfigError, match="'ic'.*band"):
+            load_config(write_cfg(tmp_path, f"{grid}kappa = 2\nic = single_mode(4, 0, 1)\n"))
+
+    def test_duplicate_gammas_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="'gammas'.*distinct"):
+            load_config(write_cfg(tmp_path, "gammas = 1,1\n"))
 
     def test_full_file(self, tmp_path):
         text = (
@@ -408,7 +432,9 @@ class TestCli:
         ("--window", ["analyze", "ts.csv", "--window", "a,b"]),
         ("--window", ["analyze", "ts.csv", "--window", "10,5"]),
         ("--window", ["analyze", "ts.csv", "--window", "nan,5"]),
-    ], ids=["space", "quantity", "window-arity", "window-float", "window-order", "window-nan"])
+        ("--alphas", ["exponent", "--alphas", "2,x"]),
+    ], ids=["space", "quantity", "window-arity", "window-float", "window-order", "window-nan",
+            "alphas"])
     def test_bad_flag_value_is_a_usage_error(self, flag, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
@@ -514,6 +540,33 @@ class TestCli:
         write_timeseries(series, path, [1])
         assert cli_main(["audit", path]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_audit_cli_rejects_bad_tol(self, tmp_path, capsys, tol):
+        from anisoflow.norms import NormSample
+
+        series = [NormSample(t=t, l1=v, l2=v, l4=v, linf=v, hgamma={},
+                             diss_x=0.0, diss_y=0.0, ul_l2=0.0, uh_l2=0.0)
+                  for t, v in ((0.0, 1.0), (0.5, 0.5))]
+        path = str(tmp_path / "down.csv")
+        write_timeseries(series, path, [])
+        assert cli_main(["audit", path, "--tol", tol]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite and >= 0" in err
+
+    @pytest.mark.parametrize("script,flag,value", [
+        ("decay_experiment.py", "--alphas", "1.5,2,2"),
+        ("inequality_experiment.py", "--alphas", "1.5"),
+        ("decay_experiment.py", "--tol", "nan"),
+    ])
+    def test_script_bad_flag_is_a_usage_error(self, script, flag, value):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), flag, value],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "error: " in proc.stderr and flag in proc.stderr.splitlines()[-1]
+        assert proc.stdout == ""  # nothing ran
+
     def test_ineq_lab_cli(self, tmp_path, capsys):
         cfg = tmp_path / "lab.cfg"
         cfg.write_text("count = 5\nnx = 32\nny = 32\nseed = 3\n")
@@ -542,6 +595,26 @@ class TestCli:
     def test_missing_config_reports_error(self, capsys):
         assert cli_main(["simulate", "/nonexistent.cfg"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestDocs:
+    @staticmethod
+    def table_keys(heading):
+        """The backticked names in the first column of a README section's table."""
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split(f"### {heading}\n", 1)[1].split("\n#", 1)[0]
+        return {key for line in section.splitlines() if line.startswith("| `")
+                for key in re.findall(r"`(\w+)`", line.split("|")[1])}
+
+    def test_run_config_table_lists_every_key(self):
+        from anisoflow import config
+
+        assert self.table_keys("Run configuration") == set(config._PARSERS)
+
+    def test_lab_config_table_lists_every_key(self):
+        from anisoflow import cli
+
+        assert self.table_keys("Inequality-lab configuration") == set(cli._LAB)
 
 
 class TestPackage:
