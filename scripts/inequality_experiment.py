@@ -24,10 +24,21 @@ from anisoflow import (
 from anisoflow.cli import parse_floats
 
 
+def _parse_seeds(raw: str) -> list[int]:
+    """`a,b,...` -> the corpus seeds, integers >= 0."""
+    try:
+        seeds = [int(p) for p in raw.split(",")]
+    except ValueError:
+        seeds = []
+    if not seeds or min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers >= 0, got {raw!r}")
+    return seeds
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--count", type=int, default=200)
-    p.add_argument("--seeds", default="1,2")
+    p.add_argument("--seeds", default="1,2", type=_parse_seeds)
     p.add_argument("--nx", type=int, default=128)
     p.add_argument("--nx-fine", type=int, default=256)
     p.add_argument("--alphas", default="1.5,2", type=partial(parse_floats, count=2), help="a1,a2")
@@ -36,13 +47,12 @@ def main() -> None:
     args = p.parse_args()
 
     a1, a2 = args.alphas
-    seeds = [int(s) for s in args.seeds.split(",")]
     law = SpectrumLaw("powerlaw", decay=args.decay)
 
     for nx in (args.nx, args.nx_fine):
         grid = GridSpec(nx, nx, 2 * math.pi, 2 * math.pi)
         d = DissipationSpec(grid, a1, a2)
-        for seed in seeds:
+        for seed in args.seeds:
             spec = FieldCorpusSpec(args.count, seed, law, 2.0 / 3.0, grid)
             fields = generate_corpus(spec)
             for lemma in ("lemma53", "lemma54", "gn"):

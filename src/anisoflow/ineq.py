@@ -78,18 +78,25 @@ class RatioReport:
     exponents: dict[str, float]
 
 
-def _half_spectrum(env: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One rfft2-layout spectrum: moduli env, random phases, real field."""
+def _half_spectrum(env: np.ndarray, band, scale: int, rng: np.random.Generator) -> np.ndarray:
+    """One rfft2-layout spectrum of a real field: moduli env * scale and
+    random phases on the band's slices, zero elsewhere."""
     nx, hy = env.shape
+    # the phases of the whole half lattice are drawn, so the stream, and with
+    # it every later field, does not depend on the band
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(nx, hy))
-    c = env * np.exp(1j * phases)
-    # self-conjugate columns (xi2 = 0 and xi2 = Nyquist) need Hermitian
-    # symmetry along x; their axis rows must be purely real.
-    for col in (0, hy - 1):
-        c[nx // 2 + 1:, col] = np.conj(c[1:nx // 2, col])[::-1]
-        c[0, col] = env[0, col] * rng.choice((-1.0, 1.0))
-        c[nx // 2, col] = env[nx // 2, col] * rng.choice((-1.0, 1.0))
+    c = np.zeros((nx, hy), dtype=complex)
+    for b in band:
+        c[b] = env[b] * np.exp(1j * phases[b])
+    # the self-conjugate column xi2 = 0 needs Hermitian symmetry along x
+    c[nx // 2 + 1:, 0] = np.conj(c[1:nx // 2, 0])[::-1]
+    # the real axis modes (rows 0 and nx/2 of columns 0 and ny/2) lie outside
+    # the band or are the mean; their signs are still drawn, as above
+    for _ in range(4):
+        rng.choice((-1.0, 1.0))
     c[0, 0] = 0.0  # zero mean
+    for b in band:
+        c[b] *= scale
     return c
 
 
@@ -97,21 +104,23 @@ def generate_corpus(spec: FieldCorpusSpec) -> list[PhysicalField]:
     """Synthesize the corpus; bit-identical for identical specs.
 
     The quadrature-weighted coefficients of each member have modulus
-    envelope(xi) * lx * ly on the retained band.  The masked envelope
-    draws nothing, so it is built once for the corpus.
+    envelope(xi) * lx * ly on the retained band |j1| <= band_limit * nx/2,
+    j2 <= band_limit * ny/2: the rows j1 >= 0 and j1 < 0 of the half
+    lattice it keeps are two row blocks, its columns a prefix.  The
+    envelope draws nothing, so it is built once for the corpus.  The
+    fields are read-only.
     """
     rng = np.random.default_rng(spec.seed)
     g = spec.grid
-    env = np.where(
-        (np.abs(g.jx[:, None]) <= spec.band_limit * g.nx / 2.0)
-        & (g.jy[None, :] <= spec.band_limit * g.ny / 2.0),
-        spec.spectrum_law.envelope(g.xi_mod),
-        0.0,
-    )
+    keep_x = np.abs(g.jx) <= spec.band_limit * g.nx / 2.0
+    n_pos, n_neg = (int(np.count_nonzero(h)) for h in np.split(keep_x, 2))
+    ncols = int(np.count_nonzero(g.jy <= spec.band_limit * g.ny / 2.0))
+    band = (np.s_[:n_pos, :ncols], np.s_[g.nx - n_neg:, :ncols])
+    env = spec.spectrum_law.envelope(g.xi_mod)
     fields = []
     for _ in range(spec.count):
-        c = _half_spectrum(env, rng) * (g.nx * g.ny)
-        values = np.fft.irfft2(c, s=(g.nx, g.ny))
+        values = np.fft.irfft2(_half_spectrum(env, band, g.nx * g.ny, rng), s=(g.nx, g.ny))
+        values.flags.writeable = False
         fields.append(PhysicalField(g, values))
     return fields
 
@@ -134,6 +143,10 @@ def _gn_exponents(gamma: int, d: DissipationSpec) -> dict[str, float]:
     return {"h2": 0.5, "l2": 0.5}
 
 
+#: the Parseval sums of a field, in the order of its row; linf ends the row
+_SUMS = ("lhs", "big_x", "small_x", "big_y", "small_y", "grad_g", "h2", "l2")
+
+
 def _sum_weight(name: str, gamma: int, d: DissipationSpec):
     """Fourier weight |xi|^p * |xi_axis|^q of a named Parseval sum."""
     p, q, axis = {
@@ -147,6 +160,14 @@ def _sum_weight(name: str, gamma: int, d: DissipationSpec):
         "l2": (0.0, 0.0, None),
     }[name]
     return fourier_weight(d.grid, p) * fourier_weight(d.grid, q, axis)
+
+
+def _weights(gamma: int, d: DissipationSpec) -> tuple[np.ndarray, ...]:
+    """The weights of _SUMS spread over the half lattice: parseval_sums
+    copies a broadcast weight into its workspace on every call, a full one
+    it reads as it is."""
+    half = (d.grid.nx, d.grid.ny // 2 + 1)
+    return tuple(np.broadcast_to(_sum_weight(name, gamma, d), half).copy() for name in _SUMS)
 
 
 def _lemma53(s, e):
@@ -166,12 +187,12 @@ def _gn(s, e):
     return s["linf"], s["h2"] ** e["h2"] * s["l2"] ** e["l2"]
 
 
-#: lemma id -> (the sums it reads, its (numerator, denominator) formula of
-#: (sums over the corpus, exponents), its exponents of (gamma, d))
+#: lemma id -> (its (numerator, denominator) formula of (sums over the
+#: corpus, exponents), its exponents of (gamma, d))
 _LEMMAS = {
-    "lemma53": (("lhs", "big_x", "small_x", "big_y", "small_y"), _lemma53, _lemma53_exponents),
-    "lemma54": (("lhs", "big_x", "big_y", "grad_g"), _lemma54, _lemma54_exponents),
-    "gn": (("linf", "h2", "l2"), _gn, _gn_exponents),
+    "lemma53": (_lemma53, _lemma53_exponents),
+    "lemma54": (_lemma54, _lemma54_exponents),
+    "gn": (_gn, _gn_exponents),
 }
 
 
@@ -180,9 +201,13 @@ def corpus_report(
 ) -> RatioReport:
     """Evaluate one inequality over a corpus; deterministic reduction order.
 
-    The weights of the sums the lemma reads are built once from d.grid;
-    each field is transformed once, and one |coeffs|^2 serves all of its
-    Parseval sums; linf is the physical-space sup norm.  A sample whose
+    Every lemma reads the same row of each field: its Parseval sums
+    (_SUMS), from one transform and one |coeffs|^2, and its physical-space
+    sup norm.  A read-only field, such as a generate_corpus member, keeps
+    its row, so it is transformed once per (gamma, d) across reports; a
+    writeable one is evaluated afresh on every call.  The weights are
+    built on the first row a call computes and dropped with the call, so
+    they add nothing to the resident set between reports.  A sample whose
     denominator is exactly 0 is degenerate, and a corpus of only such
     samples, or none, raises.
     """
@@ -190,20 +215,26 @@ def corpus_report(
         raise ValueError(f"unknown lemma id {lemma!r}")
     if int(gamma) != gamma or gamma < 1:
         raise ValueError(f"gamma must be an integer >= 1, got {gamma}")
-    names, formula, exponents = _LEMMAS[lemma]
-    spectral = [name for name in names if name != "linf"]
-    weights = [_sum_weight(name, gamma, d) for name in spectral]
-    sums = {name: np.empty(len(fields)) for name in names}
+    formula, exponents = _LEMMAS[lemma]
+    # one contiguous array per sum, the operands of the formula
+    rows = np.empty((len(_SUMS) + 1, len(fields)))
+    weights = None
     for i, u in enumerate(fields):
         if u.grid != d.grid:
             raise ValueError(f"field on {u.grid}, but the dissipation is on {d.grid}")
-        v = forward_transform(u)
-        for name, value in zip(spectral, parseval_sums(v, weights)):
-            sums[name][i] = value
-        if "linf" in sums:
-            sums["linf"][i] = lp_norms(u, (np.inf,))[0]
+        # a read-only field keeps its row per (gamma, d) in its own __dict__;
+        # a writeable one may change between calls
+        memo = None if u.values.flags.writeable else vars(u).setdefault("_rows", {})
+        row = None if memo is None else memo.get((gamma, d))
+        if row is None:
+            if weights is None:
+                weights = _weights(gamma, d)
+            row = (*parseval_sums(forward_transform(u), weights), lp_norms(u, (np.inf,))[0])
+            if memo is not None:
+                memo[gamma, d] = row
+        rows[:, i] = row
     e = exponents(gamma, d)
-    num, den = formula(sums, e)
+    num, den = formula(dict(zip(_SUMS + ("linf",), rows)), e)
     live = den != 0.0
     if not live.any():
         raise DegenerateSampleError("all corpus samples were degenerate")

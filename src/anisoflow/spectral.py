@@ -181,7 +181,8 @@ def forward_transform(u: PhysicalField) -> SpectralField:
     """Physical samples -> quadrature-weighted Fourier coefficients."""
     if not np.all(np.isfinite(u.values)):
         raise ValueError("physical field contains nonfinite values")
-    coeffs = _fft.rfft2(u.values, workers=FFT_WORKERS) * u.grid.cell_area()
+    coeffs = _fft.rfft2(u.values, workers=FFT_WORKERS)
+    coeffs *= u.grid.cell_area()
     return SpectralField(u.grid, coeffs)
 
 

@@ -556,6 +556,8 @@ class TestCli:
     @pytest.mark.parametrize("script,flag,value", [
         ("decay_experiment.py", "--alphas", "1.5,2,2"),
         ("inequality_experiment.py", "--alphas", "1.5"),
+        ("inequality_experiment.py", "--seeds", "1,x"),
+        ("inequality_experiment.py", "--seeds", "-1"),
         ("decay_experiment.py", "--tol", "nan"),
     ])
     def test_script_bad_flag_is_a_usage_error(self, script, flag, value):

@@ -11,6 +11,7 @@ from anisoflow import (
     forward_transform,
     generate_corpus,
 )
+import anisoflow.ineq as ineq_mod
 from anisoflow.ineq import DegenerateSampleError
 from anisoflow.norms import parseval_sums
 from anisoflow.spectral import fourier_weight
@@ -72,6 +73,48 @@ class TestCorpusGeneration:
                 hg, l2 = parseval_sums(v, [fourier_weight(v.grid, 2.0 * gamma), 1.0])
                 ratio = hg / l2
                 assert ratio == pytest.approx(5.0 ** gamma, rel=1e-12)
+
+    def test_fields_are_read_only(self):
+        for f in generate_corpus(small_spec(count=3)):
+            assert not f.values.flags.writeable
+            with pytest.raises(ValueError):
+                f.values[0, 0] = 1.0
+
+    @pytest.mark.parametrize("band_limit", [2.0 / 3.0, 0.5, 0.3])
+    @pytest.mark.parametrize("grid", [GridSpec(32, 32, TWO_PI, TWO_PI), GridSpec(48, 16, 3.0, 7.5)])
+    @pytest.mark.parametrize("law", [
+        SpectrumLaw("flat"), SpectrumLaw("powerlaw", decay=1.0),
+        SpectrumLaw("ring", k0=5.0, width=0.0), SpectrumLaw("ring", k0=4.0, width=1.5),
+    ])
+    def test_equals_the_full_lattice_construction(self, law, grid, band_limit):
+        spec = FieldCorpusSpec(count=4, seed=7, spectrum_law=law, band_limit=band_limit, grid=grid)
+        for f, ref in zip(generate_corpus(spec), full_lattice_corpus(spec), strict=True):
+            assert f.values.tobytes() == ref.tobytes()
+
+
+def full_lattice_corpus(spec):
+    """The corpus values built over the whole half lattice: the masked
+    envelope times the phases' exponential everywhere, the Hermitian fix-up
+    and signs of both self-conjugate columns, then the nx*ny scale."""
+    rng = np.random.default_rng(spec.seed)
+    g = spec.grid
+    env = np.where(
+        (np.abs(g.jx[:, None]) <= spec.band_limit * g.nx / 2.0)
+        & (g.jy[None, :] <= spec.band_limit * g.ny / 2.0),
+        spec.spectrum_law.envelope(g.xi_mod),
+        0.0,
+    )
+    nx, hy = env.shape
+    out = []
+    for _ in range(spec.count):
+        c = env * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(nx, hy)))
+        for col in (0, hy - 1):
+            c[nx // 2 + 1:, col] = np.conj(c[1:nx // 2, col])[::-1]
+            c[0, col] = env[0, col] * rng.choice((-1.0, 1.0))
+            c[nx // 2, col] = env[nx // 2, col] * rng.choice((-1.0, 1.0))
+        c[0, 0] = 0.0
+        out.append(np.fft.irfft2(c * (g.nx * g.ny), s=(g.nx, g.ny)))
+    return out
 
 
 def ratio(u, lemma, gamma, d):
@@ -230,3 +273,55 @@ class TestCorpusReport:
             with pytest.raises(ValueError, match="dissipation is on"):
                 corpus_report(generate_corpus(spec), lemma, 1, d)
 
+
+class TestFieldRows:
+    LEMMAS = ("lemma53", "lemma54", "gn")
+
+    def test_one_transform_per_read_only_field(self, monkeypatch):
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return forward_transform(u)
+
+        monkeypatch.setattr(ineq_mod, "forward_transform", counted)
+        spec = small_spec(count=6)
+        d = DissipationSpec(spec.grid, 1.5, 2.0)
+        fields = generate_corpus(spec)
+        for lemma in self.LEMMAS:
+            corpus_report(fields, lemma, 1, d)
+        assert len(calls) == 6 and all(a is b for a, b in zip(calls, fields))
+        for lemma in self.LEMMAS:
+            corpus_report(fields, lemma, 2, d)
+        assert len(calls) == 12
+        # a writeable copy is transformed on every report
+        copies = [PhysicalField(u.grid, u.values.copy()) for u in fields]
+        for lemma in self.LEMMAS:
+            corpus_report(copies, lemma, 1, d)
+        assert len(calls) == 12 + 3 * 6
+
+    def test_writeable_field_changed_in_place_is_evaluated_afresh(self):
+        spec = small_spec(count=2)
+        d = DissipationSpec(spec.grid, 1.5, 2.0)
+        a, b = generate_corpus(spec)
+        u = PhysicalField(spec.grid, a.values.copy())
+        for lemma in self.LEMMAS:
+            before = corpus_report([u], lemma, 1, d)
+            u.values[:] = b.values
+            after = corpus_report([u], lemma, 1, d)
+            assert after == corpus_report([b], lemma, 1, d) != before
+            u.values[:] = a.values
+
+    def test_read_only_rows_match_writeable_copies_bit_for_bit(self):
+        spec = small_spec(count=5, grid=GridSpec(24, 16, 3.0, 7.5))
+        fields = generate_corpus(spec)
+        copies = [PhysicalField(u.grid, u.values.copy()) for u in fields]
+        # interleaved, so each field holds every (gamma, d) row at once
+        for _ in range(2):
+            for gamma in (1, 2):
+                for alphas in ((1.5, 2.0), (1.2, 1.8)):
+                    d = DissipationSpec(spec.grid, *alphas)
+                    for lemma in self.LEMMAS:
+                        kept = corpus_report(fields, lemma, gamma, d)
+                        fresh = corpus_report(copies, lemma, gamma, d)
+                        assert (kept.max, kept.mean, kept.min) == (fresh.max, fresh.mean, fresh.min)
