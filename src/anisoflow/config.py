@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .freqsplit import default_mu
-from .operators import FluxSpec
-from .spectral import band_layout, make_grid
+from .freqsplit import CutoffSpec, default_mu
+from .operators import DissipationSpec, FluxSpec
+from .spectral import GridSpec, band_layout
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,9 @@ InitialCondition = GaussianIC | RandomBlobIC | SingleModeIC
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run, checked on construction (dataclasses.replace included): a
+    value outside its domain raises ConfigError naming its key."""
+
     nx: int = 512
     ny: int = 512
     lx: float = 100.0 * math.pi
@@ -61,6 +64,52 @@ class RunConfig:
     nonlinearity_enabled: bool = True
     timeseries_path: str = "timeseries.csv"
     checkpoint_path: str = ""
+
+    def __post_init__(self):
+        # the grid, the dissipation, the flux and the cutoff check their own
+        # keys, and each message starts with the key
+        try:
+            grid = GridSpec(self.nx, self.ny, self.lx, self.ly)
+            DissipationSpec(grid, self.alpha1, self.alpha2)
+            flux = FluxSpec(self.kappa)
+            CutoffSpec(self.resolved_mu())
+        except ValueError as exc:
+            raise ConfigError(f"config: {exc}") from None
+
+        def fail(key, msg):
+            raise ConfigError(f"config key {key!r}: {msg}")
+
+        for key in ("t_end", "sample_every"):
+            v = getattr(self, key)
+            if not (v > 0 and math.isfinite(v)):
+                fail(key, f"must be positive, got {v}")
+        if not (0.0 < self.cfl_safety <= 1.0):
+            fail("cfl_safety", f"must lie in (0, 1], got {self.cfl_safety}")
+        if (not all(isinstance(g, int) and g >= 1 for g in self.gammas)
+                or len(set(self.gammas)) < len(self.gammas)):
+            fail("gammas", f"must be distinct integers >= 1, got {self.gammas}")
+        ic = self.ic
+        if not math.isfinite(ic.amplitude):
+            fail("ic", f"amplitude must be finite, got {ic.amplitude}")
+        if isinstance(ic, GaussianIC):
+            if not (ic.radius > 0 and math.isfinite(ic.radius)):
+                fail("ic", f"gaussian radius must be positive, got {ic.radius}")
+            if ic.center is not None and not all(map(math.isfinite, ic.center)):
+                fail("ic", f"gaussian center must be finite, got {ic.center}")
+        elif isinstance(ic, RandomBlobIC):
+            if not (0.0 < ic.band <= 2.0 / 3.0):
+                fail("ic", f"random_blob band must lie in (0, 2/3], got {ic.band}")
+            if ic.seed < 0:
+                fail("ic", f"random_blob seed must be nonnegative, got {ic.seed}")
+        elif isinstance(ic, SingleModeIC):
+            if abs(ic.k1) > self.nx // 2 - 1 or abs(ic.k2) > self.ny // 2 - 1:
+                fail("ic", f"single_mode indices ({ic.k1}, {ic.k2}) exceed the lattice")
+            if self.nonlinearity_enabled:
+                # both rows +-k1 of the mode's coefficients must lie in the band
+                band = band_layout(grid, flux.dealias_denom)
+                if abs(ic.k1) >= min(band.n_pos, band.n_neg + 1) or abs(ic.k2) >= band.ncols:
+                    fail("ic", f"single_mode ({ic.k1}, {ic.k2}) lies outside the alias-free "
+                               "band that the flux keeps")
 
     def resolved_mu(self) -> float:
         return self.mu if self.mu is not None else default_mu(self.alpha1, self.alpha2)
@@ -167,58 +216,7 @@ def parse_keys(path: str, parsers: dict, what: str) -> dict:
     return out
 
 
-def validate_config(cfg: RunConfig) -> None:
-    """Domain checks; violations name the offending key."""
-    def fail(key, msg):
-        raise ConfigError(f"config key {key!r}: {msg}")
-
-    for key in ("nx", "ny"):
-        n = getattr(cfg, key)
-        if n % 2 != 0 or n < 8:
-            fail(key, f"must be even and >= 8, got {n}")
-    for key in ("lx", "ly", "t_end", "sample_every"):
-        v = getattr(cfg, key)
-        if not (v > 0 and math.isfinite(v)):
-            fail(key, f"must be positive, got {v}")
-    for key in ("alpha1", "alpha2"):
-        a = getattr(cfg, key)
-        if not (1.0 < a <= 2.0):
-            fail(key, f"must lie in (1, 2], got {a}")
-    if cfg.kappa < 1:
-        fail("kappa", f"must be >= 1, got {cfg.kappa}")
-    if not (0.0 < cfg.cfl_safety <= 1.0):
-        fail("cfl_safety", f"must lie in (0, 1], got {cfg.cfl_safety}")
-    if cfg.mu is not None and not (cfg.mu > 0 and math.isfinite(cfg.mu)):
-        fail("mu", f"must be positive, got {cfg.mu}")
-    if not cfg.gammas or any(g < 1 for g in cfg.gammas) or len(set(cfg.gammas)) < len(cfg.gammas):
-        fail("gammas", f"must be a nonempty list of distinct integers >= 1, got {cfg.gammas}")
-    ic = cfg.ic
-    if not math.isfinite(ic.amplitude):
-        fail("ic", f"amplitude must be finite, got {ic.amplitude}")
-    if isinstance(ic, GaussianIC):
-        if not (ic.radius > 0 and math.isfinite(ic.radius)):
-            fail("ic", f"gaussian radius must be positive, got {ic.radius}")
-        if ic.center is not None and not all(map(math.isfinite, ic.center)):
-            fail("ic", f"gaussian center must be finite, got {ic.center}")
-    elif isinstance(ic, RandomBlobIC):
-        if not (0.0 < ic.band <= 2.0 / 3.0):
-            fail("ic", f"random_blob band must lie in (0, 2/3], got {ic.band}")
-        if ic.seed < 0:
-            fail("ic", f"random_blob seed must be nonnegative, got {ic.seed}")
-    elif isinstance(ic, SingleModeIC):
-        if abs(ic.k1) > cfg.nx // 2 - 1 or abs(ic.k2) > cfg.ny // 2 - 1:
-            fail("ic", f"single_mode indices ({ic.k1}, {ic.k2}) exceed the lattice")
-        if cfg.nonlinearity_enabled:
-            # both rows +-k1 of the mode's coefficients must lie in the band
-            band = band_layout(make_grid(cfg.nx, cfg.ny, cfg.lx, cfg.ly),
-                               FluxSpec(cfg.kappa).dealias_denom)
-            if abs(ic.k1) >= min(band.n_pos, band.n_neg + 1) or abs(ic.k2) >= band.ncols:
-                fail("ic", f"single_mode ({ic.k1}, {ic.k2}) lies outside the alias-free "
-                           "band that the flux keeps")
-
-
 def load_config(path: str) -> RunConfig:
-    """Parse and validate a run configuration; missing keys take defaults."""
-    cfg = replace(RunConfig(), **parse_keys(path, _PARSERS, "config"))
-    validate_config(cfg)
-    return cfg
+    """Parse a run configuration, validated as every RunConfig is; missing
+    keys take defaults."""
+    return RunConfig(**parse_keys(path, _PARSERS, "config"))

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class NonFiniteStateError(ValueError):
-    """A field picked up NaN/Inf values (e.g. overflow in the flux power)."""
-
-
 class BlowUpError(RuntimeError):
     """Time integration produced nonfinite values.
 

@@ -3,36 +3,39 @@
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import NonFiniteStateError
 from .spectral import FFT_WORKERS, BandLayout, GridSpec, band_layout, fourier_weight
 
 
 @dataclass(frozen=True)
 class DissipationSpec:
-    """Anisotropy pair (alpha1, alpha2) and the precomputed symbol.
+    """Anisotropy pair (alpha1, alpha2) and its symbol.
 
-    symbol[j, k] = |xi1[j]|^alpha1 + |xi2[k]|^alpha2 over the half lattice.
+    symbol[j, k] = |xi1[j]|^alpha1 + |xi2[k]|^alpha2 over the half lattice,
+    built on first use and kept, read-only, so that building a spec (as
+    every RunConfig does) only checks the pair.
     """
 
     grid: GridSpec
     alpha1: float
     alpha2: float
-    symbol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, a in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
             if not (1.0 < a <= 2.0):
                 raise ValueError(f"{name} must lie in (1, 2], got {a}")
+
+    @cached_property
+    def symbol(self) -> np.ndarray:
         m = fourier_weight(self.grid, self.alpha1, "x") \
             + fourier_weight(self.grid, self.alpha2, "y")
         m.flags.writeable = False
-        object.__setattr__(self, "symbol", m)
+        return m
 
 
 @dataclass(frozen=True)
@@ -55,10 +58,9 @@ class FluxSpec:
 
     def __call__(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """f(u), fresh or into out (which may be u itself)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = np.power(u, self.kappa + 1, out=out)
-            w /= self.kappa + 1
-            return w
+        w = np.power(u, self.kappa + 1, out=out)
+        w /= self.kappa + 1
+        return w
 
 
 @lru_cache(maxsize=4)
@@ -82,8 +84,9 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec,
     divergence form.  The band is scattered into one lattice per band kept
     for the process, whose entries outside the band stay zero, under that
     lattice's lock; the flux power and both area scalings are taken in
-    place, so a call allocates only the two FFT outputs, the result and the
-    finiteness mask.
+    place, so a call allocates only the two FFT outputs and the result.
+    An inf or NaN in f(u) makes every output of rfft2 nonfinite, so the
+    result carries it to the caller, which checks it.
 
     u, when given, is the real field of the scattered band, already known
     to the caller; its inverse transform is then skipped and the flux power
@@ -100,10 +103,6 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec,
         w = flux(u, out=u)
     else:
         w = flux(u)
-    if not np.all(np.isfinite(w)):
-        raise NonFiniteStateError(
-            f"overflow evaluating flux power u^{flux.kappa + 1}"
-        )
     w_hat = band.gather(_fft.rfft2(w, workers=FFT_WORKERS))
     w_hat *= area
     return np.multiply(band.ixi, w_hat, out=w_hat)

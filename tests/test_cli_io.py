@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,36 @@ class TestLoadConfig:
     def test_duplicate_gammas_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="'gammas'.*distinct"):
             load_config(write_cfg(tmp_path, "gammas = 1,1\n"))
+
+    def test_empty_gammas_accepted(self, tmp_path):
+        assert RunConfig(gammas=()).gammas == ()
+        assert load_config(write_cfg(tmp_path, "gammas =\n")).gammas == ()
+
+    @pytest.mark.parametrize("key,value,raw", [
+        ("nx", 7, "7"),
+        ("alpha1", 0.5, "0.5"),
+        ("kappa", 0, "0"),
+        ("mu", -1.0, "-1"),
+        ("cfl_safety", 1.5, "1.5"),
+        ("gammas", (0, 1), "0,1"),
+        ("ic", GaussianIC(1.0, -1.0), "gaussian(1, -1)"),
+        ("ic", RandomBlobIC(-1, 1.0, 0.5), "random_blob(-1, 1, 0.5)"),
+        # on 32^2 the flux keeps |j| < 32/3; the mode would run from zero
+        ("ic", SingleModeIC(15, 0, 1.0), "single_mode(15, 0, 1)"),
+    ], ids=["nx", "alpha1", "kappa", "mu", "cfl_safety", "gammas", "gaussian-radius",
+            "random_blob-seed", "single_mode-outside-band"])
+    def test_direct_config_rejected_as_from_a_file(self, tmp_path, key, value, raw):
+        # a RunConfig checks itself, so code and files share one rule and
+        # one message, which names the key
+        keys = {"nx": 32, "ny": 32, key: value}
+        with pytest.raises(ConfigError, match=rf"^config(: | key '){key}\b") as direct:
+            RunConfig(**keys)
+        text = "".join(f"{k} = {raw if k == key else v}\n" for k, v in keys.items())
+        with pytest.raises(ConfigError) as loaded:
+            load_config(write_cfg(tmp_path, text))
+        assert str(loaded.value) == str(direct.value)
+        with pytest.raises(ConfigError, match=rf"^config(: | key '){key}\b"):
+            replace(RunConfig(nx=32, ny=32), **{key: value})
 
     def test_full_file(self, tmp_path):
         text = (
@@ -559,6 +590,11 @@ class TestCli:
         ("inequality_experiment.py", "--seeds", "1,x"),
         ("inequality_experiment.py", "--seeds", "-1"),
         ("decay_experiment.py", "--tol", "nan"),
+        # domain errors, found before any corpus is made
+        ("inequality_experiment.py", "--nx", "7"),
+        ("inequality_experiment.py", "--gamma", "0"),
+        ("inequality_experiment.py", "--count", "0"),
+        ("inequality_experiment.py", "--alphas", "0.5,2"),
     ])
     def test_script_bad_flag_is_a_usage_error(self, script, flag, value):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -676,3 +712,34 @@ class TestPackage:
                 and not isinstance(getattr(anisoflow, n, None), types.ModuleType)}
         assert len(anisoflow.__all__) == len(set(anisoflow.__all__))
         assert set(anisoflow.__all__) == used
+
+    def test_every_public_name_has_a_caller_outside_the_tests(self):
+        # a public top-level name of the package that only tests use should
+        # go; the package itself, the scripts and the benchmark are parsed,
+        # and a re-export in __init__ is not a use
+        import ast
+
+        package = sorted((ROOT / "src" / "anisoflow").glob("*.py"))
+        defined = {}
+        for path in package:
+            for n in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                    names = [n.name]
+                elif isinstance(n, (ast.Assign, ast.AnnAssign)):
+                    targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                defined.update((name, path.name) for name in names if not name.startswith("_"))
+        used = set()
+        for path in [*package, *ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]:
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    used.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    used.add(n.attr)
+                elif isinstance(n, ast.ImportFrom) and path.name != "__init__.py":
+                    used.update(a.name for a in n.names)
+        assert len(defined) > 60
+        assert sorted(f"{where}: {name}" for name, where in defined.items()
+                      if name not in used) == []

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,11 +23,12 @@ from anisoflow import (
     sample_times,
     step_ifrk4,
 )
-from anisoflow.config import RandomBlobIC, validate_config
+from anisoflow.config import RandomBlobIC
 from anisoflow.errors import BlowUpError
 from anisoflow.norms import lp_norms, parseval_sums
+from anisoflow.operators import nonlinear_coeffs
 from anisoflow.run import advance_to
-from anisoflow.spectral import FFT_WORKERS, SpectralField, fourier_weight
+from anisoflow.spectral import FFT_WORKERS, SpectralField, band_layout, fourier_weight
 from anisoflow.timestepper import _ledger_weights
 
 from conftest import TWO_PI, keep_mask, random_field, single_mode_spectrum, spectral_energy
@@ -166,6 +168,21 @@ class TestStepNonlinear:
         with pytest.raises(BlowUpError) as err:
             step_ifrk4(s, 0.25)
         assert err.value.time == pytest.approx(1.75)
+
+    def test_overflow_in_a_later_stage_raises_without_warnings(self, grid16):
+        # the state and its stage-1 flux (peak 2e301) are finite; stage 2's
+        # flux power overflows, and the inf and NaN it spreads reach the
+        # result, which the step's one check of its output reports
+        u = PhysicalField(grid16, 1e150 * np.cos(grid16.x[:, None] + grid16.y[None, :]))
+        s = SimState(1.5, forward_transform(u), DissipationSpec(grid16, 2.0, 2.0), FluxSpec(1))
+        band = band_layout(grid16, s.flux.dealias_denom)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stage1 = nonlinear_coeffs(grid16, band.gather(s.u_hat.coeffs), s.flux)
+            assert np.all(np.isfinite(stage1)) and np.max(np.abs(stage1)) > 1e301
+            with pytest.raises(BlowUpError) as err:
+                step_ifrk4(s, 0.25)
+        assert err.value.time == 1.75
 
     def test_rejects_nonpositive_dt(self, grid16):
         s = make_state(grid16)
@@ -340,7 +357,6 @@ class TestEnergyLedger:
             t_end=1.0, sample_every=0.25, ic=RandomBlobIC(7, 0.3, 0.6),
             nonlinearity_enabled=True, timeseries_path="", checkpoint_path="",
         )
-        validate_config(cfg)
         outside = ~keep_mask(make_grid(64, 64, TWO_PI, TWO_PI), 4)
         assert np.all(initial_state(cfg).u_hat.coeffs[outside] == 0.0)
         linear = initial_state(replace(cfg, nonlinearity_enabled=False))

@@ -85,10 +85,10 @@ class TestAllocationBudget:
 
     @pytest.mark.parametrize("kappa", [1, 2])
     def test_nonlinear_coeffs_peak_is_its_fft_outputs_and_result(self, grid, kappa):
-        # measured at 128^2 (numpy 2.4): 1.002 times the irfft2 output, the
+        # measured at 128^2 (numpy 2.4): 1.003 times the irfft2 output, the
         # rfft2 output and the returned band array together (the rest is
-        # the finiteness mask, freed before rfft2); 1.41 times when the
-        # scatter and the flux power allocated per call.  Margin 25%.
+        # under 1 kB of small objects); 1.41 times when the scatter and the
+        # flux power allocated per call.  Margin 25%.
         s = gaussian_state(grid, kappa=kappa)
         band = band_layout(grid, s.flux.dealias_denom)
         c = band.gather(s.u_hat.coeffs)
