@@ -48,7 +48,8 @@ def _flag(name: str):
 def build(args) -> list[tuple[DissipationSpec, FieldCorpusSpec]]:
     """Each corpus spec, resolution by resolution and seed by seed, with its
     dissipation, all built, and the gamma checked, before any corpus is made."""
-    law = SpectrumLaw("powerlaw", decay=args.decay)
+    with _flag("--decay"):
+        law = SpectrumLaw("powerlaw", decay=args.decay)
     plan = []
     for name, nx in (("--nx", args.nx), ("--nx-fine", args.nx_fine)):
         with _flag(name):

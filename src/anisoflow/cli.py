@@ -129,6 +129,8 @@ def _cmd_ineq_lab(args) -> int:
         band_limit=lab["band_limit"], grid=grid,
     )
     d = DissipationSpec(grid, lab["alpha1"], lab["alpha2"])
+    if lab["gamma"] < 1:  # corpus_report's rule, checked before the corpus is made
+        raise ValueError(f"gamma must be an integer >= 1, got {lab['gamma']}")
     fields = generate_corpus(spec)
     for lemma in ("lemma53", "lemma54", "gn"):
         rep = corpus_report(fields, lemma, lab["gamma"], d)

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import linregress
 
 from .norms import NormSample
 
@@ -107,15 +106,24 @@ def fit_power_law(
         raise ValueError(
             "nonpositive values in fit window (decayed to roundoff?); shrink the window"
         )
-    res = linregress(np.log1p(t), np.log(v))
-    r2 = min(max(res.rvalue ** 2, 0.0), 1.0)
+    x, y = np.log1p(t), np.log(v)
+    if x.max() == x.min():
+        raise ValueError(f"all sample times in window [{t_lo}, {t_hi}] are identical")
+    # the formulas of scipy's linregress, so slope and r match it bit for bit
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=True).flat
+    slope = float(ssxym / ssxm)
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0.0 else 0.0
+    else:
+        r = ssxym / np.sqrt(ssxm * ssym)
+    r2 = min(max(r ** 2, 0.0), 1.0)
     return DecayFit(
         quantity=quantity,
         window=(t_lo, t_hi),
-        exponent=float(res.slope),
+        exponent=slope,
         r_squared=float(r2),
         theoretical=float(theoretical),
-        deviation=abs(float(res.slope) - float(theoretical)),
+        deviation=abs(slope - float(theoretical)),
     )
 
 

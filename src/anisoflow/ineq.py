@@ -34,6 +34,9 @@ class SpectrumLaw:
     def __post_init__(self):
         if self.kind not in ("flat", "powerlaw", "ring"):
             raise ValueError(f"unknown spectrum law {self.kind!r}")
+        for name, value in (("decay", self.decay), ("k0", self.k0), ("width", self.width)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def envelope(self, xi_mod: np.ndarray) -> np.ndarray:
         if self.kind == "flat":

@@ -9,8 +9,9 @@ Both primitives, and record, build their temporaries (|u| and its powers,
 |coeffs|^2, each weighted product and its column sums, chi and the
 (1 - chi)^2 weight) in the grid's Workspace, one per grid for the process,
 and hold its lock while they do: at 512^2 each temporary is 1-2 MB, and
-allocated per call it was faulted in again on every call.  They return
-floats, so nothing they return aliases the workspace.
+allocating them per call raised record's transient peak from about 0.3 to
+4 real fields, which the sampler thread adds to the stepping's own.  They
+return floats, so nothing they return aliases the workspace.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ def parseval_sums(v: SpectralField, weights) -> list[float]:
         for w in weights:
             if np.shape(w) != abs2.shape:
                 # spread first: with a broadcast operand and out=, np.multiply
-                # allocates a full temporary
+                # allocates a buffer of about 65 kB (numpy 2.4), which at 128^2
+                # is half a real field
                 np.copyto(ws.product, w)
                 w = ws.product
             columns = np.sum(np.multiply(w, abs2, out=ws.product), axis=0, out=ws.columns)

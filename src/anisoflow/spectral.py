@@ -27,6 +27,8 @@ ledger sums over both go through it.
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -36,6 +38,32 @@ import scipy.fft as _fft
 # pocketfft is deterministic for any worker count; 2 matches the small
 # containers this usually runs in.
 FFT_WORKERS = 2
+
+
+def _set_malloc_policy() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB,
+    once for the process; a C library without mallopt is left as it is.
+
+    Each state brings fresh arrays of about 2 MB at 512^2: its new
+    coefficients, the irfft2 output and pocketfft's temporaries.  glibc
+    moves both thresholds as blocks are freed, and while they sit below
+    those sizes every such array is mapped afresh, or the heap is trimmed
+    under it, and its pages fault in again, tens of thousands of times per
+    run.  Where they sat depended on what the process happened to free
+    first, so import order alone could decide it.  32 MiB is glibc's
+    ceiling for the mmap threshold on 64-bit.  Setting either threshold
+    stops glibc adjusting both, and the trim threshold would then stay at
+    its 128 KiB default, so both are set.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_set_malloc_policy()
 
 _MIN_POINTS = 8
 

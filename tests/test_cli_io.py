@@ -595,6 +595,7 @@ class TestCli:
         ("inequality_experiment.py", "--gamma", "0"),
         ("inequality_experiment.py", "--count", "0"),
         ("inequality_experiment.py", "--alphas", "0.5,2"),
+        ("inequality_experiment.py", "--decay", "nan"),
     ])
     def test_script_bad_flag_is_a_usage_error(self, script, flag, value):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -613,7 +614,8 @@ class TestCli:
         assert "lemma53" in out and "lemma54" in out and "gn" in out
         assert "degenerate=0" in out
 
-    @pytest.mark.parametrize("law", ["flat(3)", "powerlaw(1, 2)", "ring", "ring(4, 1, 2)"])
+    @pytest.mark.parametrize("law", ["flat(3)", "powerlaw(1, 2)", "ring", "ring(4, 1, 2)",
+                                     "ring(nan)", "ring(4, inf)", "powerlaw(nan)"])
     def test_spectrum_law_argument_count_checked(self, tmp_path, law):
         cfg = tmp_path / "lab.cfg"
         cfg.write_text(f"spectrum = {law}\n")
@@ -629,6 +631,15 @@ class TestCli:
                               ("ring(4, 0)", SpectrumLaw("ring", k0=4.0, width=0.0))):
             cfg.write_text(f"spectrum = {law}\n")
             assert load_lab_config(str(cfg))["spectrum"] == expected
+
+    def test_ineq_lab_checks_gamma_before_the_corpus(self, tmp_path, capsys, monkeypatch):
+        made = []
+        monkeypatch.setattr("anisoflow.cli.generate_corpus", made.append)
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("count = 2\nnx = 16\nny = 16\ngamma = 0\n")
+        assert cli_main(["ineq-lab", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: gamma must be an integer >= 1, got 0\n"
+        assert made == []
 
     def test_missing_config_reports_error(self, capsys):
         assert cli_main(["simulate", "/nonexistent.cfg"]) == 1
@@ -656,6 +667,17 @@ class TestDocs:
 
 
 class TestPackage:
+    def test_import_loads_no_scipy_stats(self):
+        # the package needs numpy and scipy.fft only; scipy.stats alone took
+        # most of a fresh import's time and about 44 MB of resident memory
+        code = ("import sys, anisoflow, anisoflow.cli\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_star_import_exports_no_submodule(self):
         import types
 

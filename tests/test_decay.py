@@ -133,6 +133,46 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError):
             DecayFit("l2", (5.0, 5.0), -1.0, 1.0, -1.0, 0.0)
 
+    def test_bit_identical_to_linregress(self):
+        # the reference the fit's formulas come from; the package never
+        # imports scipy.stats itself
+        from scipy.stats import linregress
+
+        def reference(t, v):
+            ref = linregress(np.log1p(t), np.log(v))
+            return ref.slope, min(max(ref.rvalue ** 2, 0.0), 1.0)
+
+        rng = np.random.default_rng(22)
+        for case in range(1000):
+            n = int(rng.integers(8, 401))
+            t = np.sort(rng.uniform(0.0, 100.0, n)) if case % 2 else np.linspace(0.0, 100.0, n)
+            noise = 0.0 if case % 5 == 0 else 10.0 ** rng.uniform(-8.0, np.log10(0.3))
+            v = (10.0 ** rng.uniform(-3.0, 3.0) * (1.0 + t) ** rng.uniform(-3.0, 0.0)
+                 * np.exp(noise * rng.standard_normal(n)))
+            fit = fit_power_law(zip(t, v), (t[0], t[-1]))
+            slope, r2 = reference(t, v)
+            assert (fit.exponent, fit.r_squared) == (slope, r2), case
+        # constant series: r is NaN when roundoff leaves ssym == 0, and the
+        # fit raises; otherwise both read the roundoff slope
+        for c in (1.0, 0.5, 3.0, 0.1, 7.3):
+            for n in (8, 37, 400):
+                t = np.linspace(0.0, 50.0, n)
+                v = np.full(n, c)
+                slope, r2 = reference(t, v)
+                if np.isnan(r2):
+                    with pytest.raises(ValueError, match=r"r_squared out of \[0, 1\]: nan"):
+                        fit_power_law(zip(t, v), (0.0, 50.0))
+                else:
+                    fit = fit_power_law(zip(t, v), (0.0, 50.0))
+                    assert (fit.exponent, fit.r_squared) == (slope, r2), (c, n)
+        with pytest.raises(ValueError, match=r"r_squared out of \[0, 1\]: nan"):
+            fit_power_law([(float(i), 1.0) for i in range(10)], (0.0, 10.0))
+
+    def test_identical_times_rejected(self):
+        pts = [(5.0, 1.0 / (1 + i)) for i in range(10)]
+        with pytest.raises(ValueError, match="identical"):
+            fit_power_law(pts, (0.0, 10.0))
+
 
 def _sample(t, l2, diss_sq, linf=None):
     linf = linf if linf is not None else max(l2, 1e-30)

@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,3 +287,28 @@ class TestFieldValidation:
     def test_grid_equality_is_structural(self):
         assert GridSpec(8, 8, 1.0, 2.0) == GridSpec(8, 8, 1.0, 2.0)
         assert GridSpec(8, 8, 1.0, 2.0) != GridSpec(8, 8, 2.0, 2.0)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc policy is glibc's")
+@pytest.mark.parametrize("mib", [2, 4, 8])
+def test_malloc_policy_keeps_freed_arrays_resident(mib):
+    # importing the package fixes glibc's thresholds, so a 2-8 MiB array
+    # freed and allocated again reuses pages already faulted in; measured
+    # 0.0 faults per allocation with the policy, 49-50 without it (numpy
+    # alone, or numpy, scipy.fft and scipy.stats)
+    code = f"""
+import resource
+import numpy as np
+import anisoflow
+n = {mib} * 2 ** 20 // 8
+np.ones(n)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    np.ones(n)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 4.0
