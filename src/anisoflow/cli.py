@@ -31,13 +31,14 @@ def parse_floats(raw: str, count: int | None = None) -> list[float]:
 
 
 def _parse_space(raw: str) -> tuple[str, int | None]:
-    """`l2` or `hg:<gamma>` -> the (space, gamma) pair of theoretical_exponent."""
+    """`l2` or `hg:<gamma>` with gamma >= 1 -> the (space, gamma) pair of
+    theoretical_exponent."""
     if raw == "l2":
         return "l2", None
     m = re.fullmatch(r"hg:(\d+)", raw)
-    if m:
+    if m and int(m.group(1)) >= 1:
         return "hgamma", int(m.group(1))
-    raise argparse.ArgumentTypeError(f"must be l2 or hg:<gamma>, got {raw!r}")
+    raise argparse.ArgumentTypeError(f"must be l2 or hg:<gamma> with gamma >= 1, got {raw!r}")
 
 
 def parse_window(raw: str) -> tuple[float, float]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .norms import lp_norms, parseval_sums
 from .operators import DissipationSpec
-from .spectral import GridSpec, PhysicalField, forward_transform, fourier_weight
+from .spectral import BandLayout, GridSpec, PhysicalField, forward_transform, fourier_weight
 
 
 class DegenerateSampleError(ValueError):
@@ -81,16 +81,17 @@ class RatioReport:
     exponents: dict[str, float]
 
 
-def _half_spectrum(env: np.ndarray, band, scale: int, rng: np.random.Generator) -> np.ndarray:
+def _half_spectrum(env: np.ndarray, band: BandLayout, scale: int,
+                   rng: np.random.Generator) -> np.ndarray:
     """One rfft2-layout spectrum of a real field: moduli env * scale and
-    random phases on the band's slices, zero elsewhere."""
-    nx, hy = env.shape
+    random phases on the band (env is a band array), zero elsewhere."""
+    nx, ny = band.grid.nx, band.grid.ny
     # the phases of the whole half lattice are drawn, so the stream, and with
     # it every later field, does not depend on the band
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(nx, hy))
-    c = np.zeros((nx, hy), dtype=complex)
-    for b in band:
-        c[b] = env[b] * np.exp(1j * phases[b])
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(nx, ny // 2 + 1))
+    b = env * np.exp(1j * band.gather(phases))
+    b *= scale
+    c = band.scatter(b)
     # the self-conjugate column xi2 = 0 needs Hermitian symmetry along x
     c[nx // 2 + 1:, 0] = np.conj(c[1:nx // 2, 0])[::-1]
     # the real axis modes (rows 0 and nx/2 of columns 0 and ny/2) lie outside
@@ -98,8 +99,6 @@ def _half_spectrum(env: np.ndarray, band, scale: int, rng: np.random.Generator) 
     for _ in range(4):
         rng.choice((-1.0, 1.0))
     c[0, 0] = 0.0  # zero mean
-    for b in band:
-        c[b] *= scale
     return c
 
 
@@ -108,18 +107,17 @@ def generate_corpus(spec: FieldCorpusSpec) -> list[PhysicalField]:
 
     The quadrature-weighted coefficients of each member have modulus
     envelope(xi) * lx * ly on the retained band |j1| <= band_limit * nx/2,
-    j2 <= band_limit * ny/2: the rows j1 >= 0 and j1 < 0 of the half
-    lattice it keeps are two row blocks, its columns a prefix.  The
-    envelope draws nothing, so it is built once for the corpus.  The
-    fields are read-only.
+    j2 <= band_limit * ny/2, which is held as a BandLayout; its rule (<=,
+    from band_limit) is not band_layout's alias-free one, so it is counted
+    here.  The envelope draws nothing, so it is gathered onto the band
+    once for the corpus.  The fields are read-only.
     """
     rng = np.random.default_rng(spec.seed)
     g = spec.grid
     keep_x = np.abs(g.jx) <= spec.band_limit * g.nx / 2.0
     n_pos, n_neg = (int(np.count_nonzero(h)) for h in np.split(keep_x, 2))
-    ncols = int(np.count_nonzero(g.jy <= spec.band_limit * g.ny / 2.0))
-    band = (np.s_[:n_pos, :ncols], np.s_[g.nx - n_neg:, :ncols])
-    env = spec.spectrum_law.envelope(g.xi_mod)
+    band = BandLayout(g, n_pos, n_neg, int(np.count_nonzero(g.jy <= spec.band_limit * g.ny / 2.0)))
+    env = band.gather(spec.spectrum_law.envelope(g.xi_mod))
     fields = []
     for _ in range(spec.count):
         values = np.fft.irfft2(_half_spectrum(env, band, g.nx * g.ny, rng), s=(g.nx, g.ny))

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as _fft
 
-from .spectral import FFT_WORKERS, BandLayout, GridSpec, band_layout, fourier_weight
+from .spectral import FFT_WORKERS, GridSpec, band_layout, fourier_weight
 
 
 @dataclass(frozen=True)
@@ -63,15 +62,6 @@ class FluxSpec:
         return w
 
 
-@lru_cache(maxsize=4)
-def _band_lattice(band: BandLayout) -> tuple[np.ndarray, threading.Lock]:
-    """The complex half lattice that nonlinear_coeffs scatters band into,
-    zero outside the band, and the lock held while it is in use; built on
-    first use, the least recently used of more than 4 bands dropped."""
-    g = band.grid
-    return np.zeros((g.nx, g.ny // 2 + 1), dtype=np.complex128), threading.Lock()
-
-
 def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec,
                      u: np.ndarray | None = None) -> np.ndarray:
     """Spectral divergence of the flux, i*(xi1+xi2) * F[f(u)], on the band.
@@ -81,10 +71,11 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec,
     alias-free band before the pointwise power is taken, and the result is
     kept on the band only, so the monomial products are exact on the
     retained modes.  The zero mode vanishes identically: the flux is in
-    divergence form.  The band is scattered into one lattice per band kept
-    for the process, whose entries outside the band stay zero, under that
-    lattice's lock; the flux power and both area scalings are taken in
-    place, so a call allocates only the two FFT outputs and the result.
+    divergence form.  The band is scattered into a fresh half lattice,
+    freed once the inverse transform has read it and before rfft2 allocates
+    its output of the same size; the flux power and both area scalings are
+    taken in place, so at its peak a call holds only the two FFT outputs
+    and the result.
     An inf or NaN in f(u) makes every output of rfft2 nonfinite, so the
     result carries it to the caller, which checks it.
 
@@ -95,10 +86,7 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec,
     band = band_layout(grid, flux.dealias_denom)
     area = grid.cell_area()
     if u is None:
-        lattice, lock = _band_lattice(band)
-        with lock:
-            u = _fft.irfft2(band.scatter(coeffs, out=lattice), s=(grid.nx, grid.ny),
-                            workers=FFT_WORKERS)
+        u = _fft.irfft2(band.scatter(coeffs), s=(grid.nx, grid.ny), workers=FFT_WORKERS)
         u /= area
         w = flux(u, out=u)
     else:

@@ -73,6 +73,8 @@ def initial_state(cfg: RunConfig) -> SimState:
 
 
 def sample_times(t_end: float, sample_every: float) -> list[float]:
+    if not (t_end > 0.0 and np.isfinite(t_end)):
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not (sample_every > 0.0 and np.isfinite(sample_every)):
         raise ValueError(f"sample_every must be positive and finite, got {sample_every}")
     times = []
@@ -112,8 +114,8 @@ def run_simulation(cfg: RunConfig) -> tuple[list[NormSample], SimState]:
     hands the state to one background sampler thread that runs record
     while the caller steps the next interval.  At most one sample is in
     flight, and the series is assembled in sample order.  The sampler
-    takes the norms' scratch arrays and the stepping the band lattice of
-    the flux, each under its own lock, so neither waits on the other.
+    takes the norms' scratch arrays under their lock; the stepping shares
+    no array with it and takes no lock, so neither waits on the other.
 
     Deterministic for a given config: the series, the final state and the
     files are the bits a serial advance_to + record loop gives, and so are

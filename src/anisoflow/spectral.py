@@ -21,8 +21,9 @@ The flux step only ever holds modes inside the alias-free band, so it works
 on band arrays (band_layout): the retained rows and columns of the half
 lattice packed into one smaller array, gathered from and scattered back to
 the half lattice once per step.  The layout is the one owner of the band's
-row order: truncation to the band and the fold onto |j| that the energy
-ledger sums over both go through it.
+row order: truncation to the band, the fold onto |j| that the energy
+ledger sums over, and the inequality lab's corpus, which synthesizes its
+band-limited fields on a BandLayout of its own band, all go through it.
 """
 
 from __future__ import annotations
@@ -224,7 +225,8 @@ def inverse_transform(v: SpectralField) -> PhysicalField:
 
 @dataclass(frozen=True)
 class BandLayout:
-    """The alias-free band of one (grid, denom), stored compactly.
+    """A band of the half lattice, stored compactly: the alias-free band
+    of one (grid, denom) from band_layout, or the corpus band of ineq.
 
     The retained rows of the half lattice are its first n_pos rows (j >= 0)
     and its last n_neg rows (j < 0); the retained columns are its first
@@ -258,14 +260,9 @@ class BandLayout:
         out[self.n_pos:] = a[self.grid.nx - self.n_neg:, : self.ncols]
         return out
 
-    def scatter(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Band array -> half-lattice array, zero outside the band.
-
-        The result is fresh, or out when given: a half-lattice array that
-        is already zero outside the band, whose band entries are overwritten.
-        """
-        if out is None:
-            out = np.zeros((self.grid.nx, self.grid.ny // 2 + 1), dtype=b.dtype)
+    def scatter(self, b: np.ndarray) -> np.ndarray:
+        """Band array -> fresh half-lattice array, zero outside the band."""
+        out = np.zeros((self.grid.nx, self.grid.ny // 2 + 1), dtype=b.dtype)
         out[: self.n_pos, : self.ncols] = b[: self.n_pos]
         out[self.grid.nx - self.n_neg:, : self.ncols] = b[self.n_pos:]
         return out

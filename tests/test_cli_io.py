@@ -259,6 +259,13 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="sample_every must be positive and finite"):
             sample_times(1.0, every)
 
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, math.inf])
+    def test_sample_times_reject_bad_end(self, t_end):
+        # a nonpositive or NaN end gave [t_end] back; with an infinite one
+        # the sampling loop would never end
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            sample_times(t_end, 0.5)
+
     def test_blowup_flushes_partial_series(self, tmp_path, monkeypatch):
         from anisoflow.errors import BlowUpError
         import anisoflow.run as run_mod
@@ -464,8 +471,10 @@ class TestCli:
         ("--window", ["analyze", "ts.csv", "--window", "10,5"]),
         ("--window", ["analyze", "ts.csv", "--window", "nan,5"]),
         ("--alphas", ["exponent", "--alphas", "2,x"]),
+        ("--space", ["exponent", "--alphas", "2,2", "--space", "hg:0"]),
+        ("--quantity", ["analyze", "ts.csv", "--quantity", "hg:0", "--window", "1,10"]),
     ], ids=["space", "quantity", "window-arity", "window-float", "window-order", "window-nan",
-            "alphas"])
+            "alphas", "space-gamma0", "quantity-gamma0"])
     def test_bad_flag_value_is_a_usage_error(self, flag, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)

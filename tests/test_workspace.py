@@ -1,6 +1,6 @@
-"""The per-grid scratch workspace of the norms and the per-band lattice of
-the flux right-hand side: transient allocation budgets, no result aliasing
-a scratch array, and the norms and the flux on several threads at once."""
+"""The per-grid scratch workspace of the norms and the transient peak of
+the flux right-hand side: allocation budgets, no result aliasing a scratch
+array, and the norms and the flux on several threads at once."""
 
 import sys
 import threading
@@ -22,7 +22,7 @@ from anisoflow import (
     step_ifrk4,
 )
 from anisoflow.norms import lp_norms, parseval_sums, workspace
-from anisoflow.operators import _band_lattice, nonlinear_coeffs
+from anisoflow.operators import nonlinear_coeffs
 from anisoflow.spectral import SpectralField, band_layout, fourier_weight
 
 N = 128
@@ -60,10 +60,9 @@ def transient_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def scratch_arrays(grid, band):
+def scratch_arrays(grid):
     ws = workspace(grid)
-    return [ws.abs_u, ws.power, ws.abs2, ws.product, ws.weight, ws.chi, ws.columns,
-            _band_lattice(band)[0]]
+    return [ws.abs_u, ws.power, ws.abs2, ws.product, ws.weight, ws.chi, ws.columns]
 
 
 class TestAllocationBudget:
@@ -85,10 +84,12 @@ class TestAllocationBudget:
 
     @pytest.mark.parametrize("kappa", [1, 2])
     def test_nonlinear_coeffs_peak_is_its_fft_outputs_and_result(self, grid, kappa):
-        # measured at 128^2 (numpy 2.4): 1.003 times the irfft2 output, the
-        # rfft2 output and the returned band array together (the rest is
-        # under 1 kB of small objects); 1.41 times when the scatter and the
-        # flux power allocated per call.  Margin 25%.
+        # measured at 128^2 (numpy 2.4): 1.003 (kappa = 1) and 1.002
+        # (kappa = 2) times the irfft2 output, the rfft2 output and the
+        # returned band array together (the rest is under 1 kB of small
+        # objects): the scattered half lattice is freed before rfft2
+        # allocates its output of the same size.  1.41 times when the flux
+        # power also allocated per call.  Margin 25%.
         s = gaussian_state(grid, kappa=kappa)
         band = band_layout(grid, s.flux.dealias_denom)
         c = band.gather(s.u_hat.coeffs)
@@ -108,8 +109,7 @@ class TestNoAliasing:
             "nonlinear_coeffs": nonlinear_coeffs(grid, band.gather(s.u_hat.coeffs), s.flux),
             "inverse_transform": inverse_transform(s.u_hat).values,
         }
-        arrays = scratch_arrays(grid, band)
-        assert arrays[-1].any(), "nonlinear_coeffs scattered into no band lattice"
+        arrays = scratch_arrays(grid)
         for name, r in results.items():
             assert not any(np.shares_memory(r, a) for a in arrays), name
 
@@ -132,21 +132,17 @@ class TestNoAliasing:
 
 class TestPerThread:
     def test_one_workspace_per_grid_bounded(self, grid):
-        band = band_layout(grid, 3)
-        ws, lattice = workspace(grid), _band_lattice(band)
+        ws = workspace(grid)
         other = []
-        t = threading.Thread(target=lambda: other.append((workspace(grid), _band_lattice(band))))
+        t = threading.Thread(target=lambda: other.append(workspace(grid)))
         t.start()
         t.join(timeout=30)
         assert not t.is_alive()
-        assert other[0][0] is ws and other[0][1] is lattice
+        assert other[0] is ws
         # using 4 other grids drops the least recently used
         for n in range(4):
-            g = make_grid(16 + 2 * n, 16, 1.0, 1.0)
-            workspace(g)
-            _band_lattice(band_layout(g, 3))
+            workspace(make_grid(16 + 2 * n, 16, 1.0, 1.0))
         assert workspace(grid) is not ws
-        assert _band_lattice(band) is not lattice
 
     def test_record_on_threads_equals_serial(self, grid):
         # more threads than the 2 cores, each with its own states, and a
@@ -189,7 +185,7 @@ class TestPerThread:
 
     def test_step_on_threads_equals_serial(self, grid):
         # two threads step different states of one grid through the flux,
-        # whose shared band lattice each scatter overwrites
+        # which shares no array between calls and takes no lock
         states = [gaussian_state(grid), gaussian_state(grid, amplitude=3.0, shift=4.0)]
 
         def steps(s):
