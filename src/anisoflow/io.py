@@ -38,13 +38,19 @@ def write_timeseries(series: list[NormSample], path: str, gammas) -> None:
 
 
 def read_timeseries(path: str) -> list[NormSample]:
-    """Read a written CSV back; the samples carry no ledger (ledger=None)."""
+    """Read a written CSV back; the samples carry no ledger (ledger=None).
+
+    The header's hg columns must name distinct integers >= 1 (RunConfig's
+    rule for gammas) and the times must increase strictly, as a run
+    writes them."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         cols = header.split(",")
         gammas = [int(c[2:]) for c in cols if c.startswith("hg")]
         if cols != timeseries_header(gammas).split(","):
             raise ValueError(f"unexpected CSV header {header!r}")
+        if not all(g >= 1 for g in gammas) or len(set(gammas)) < len(gammas):
+            raise ValueError(f"CSV hg columns must be distinct integers >= 1, got {header!r}")
         samples = []
         for line in fh:
             if not line.strip():
@@ -53,10 +59,14 @@ def read_timeseries(path: str) -> list[NormSample]:
             if len(vals) != len(cols):
                 raise ValueError(f"row width {len(vals)} != header width {len(cols)}")
             hg = vals[len(_HEAD):len(vals) - len(_TAIL)]
-            samples.append(NormSample(
+            sample = NormSample(
                 **dict(zip(_HEAD, vals)), hgamma=dict(zip(gammas, hg)),
                 **dict(zip(_TAIL, vals[len(vals) - len(_TAIL):])),
-            ))
+            )
+            if samples and not sample.t > samples[-1].t:
+                raise ValueError(f"CSV times must increase strictly, got t={sample.t!r} "
+                                 f"after t={samples[-1].t!r}")
+            samples.append(sample)
     return samples
 
 

@@ -54,6 +54,8 @@ class NormSample:
     ledger: float | None = None
 
     def __post_init__(self):
+        if not (np.isfinite(self.t) and self.t >= 0.0):
+            raise ValueError(f"norm sample time must be finite and >= 0, got {self.t}")
         scalars = [self.l1, self.l2, self.l4, self.linf, self.diss_x,
                    self.diss_y, self.ul_l2, self.uh_l2]
         if self.ledger is not None:

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as _fft
 
-from .spectral import FFT_WORKERS, GridSpec, band_layout, fourier_weight
+from .spectral import GridSpec, band_layout, fourier_weight
 
 
 @dataclass(frozen=True)
@@ -71,13 +70,14 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec,
     alias-free band before the pointwise power is taken, and the result is
     kept on the band only, so the monomial products are exact on the
     retained modes.  The zero mode vanishes identically: the flux is in
-    divergence form.  The band is scattered into a fresh half lattice,
-    freed once the inverse transform has read it and before rfft2 allocates
-    its output of the same size; the flux power and both area scalings are
-    taken in place, so at its peak a call holds only the two FFT outputs
-    and the result.
-    An inf or NaN in f(u) makes every output of rfft2 nonfinite, so the
-    result carries it to the caller, which checks it.
+    divergence form.  The transforms are the band's own pair
+    (BandLayout.to_physical and from_physical), whose x-transforms run on
+    the band's columns only; the block the inverse fills is freed before
+    the forward transform allocates its half lattice, and the flux power
+    and both area scalings are taken in place, so at its peak a call holds
+    only the two transform outputs and the result.
+    An inf or NaN in f(u) makes every output of the forward transform
+    nonfinite, so the result carries it to the caller, which checks it.
 
     u, when given, is the real field of the scattered band, already known
     to the caller; its inverse transform is then skipped and the flux power
@@ -86,11 +86,11 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec,
     band = band_layout(grid, flux.dealias_denom)
     area = grid.cell_area()
     if u is None:
-        u = _fft.irfft2(band.scatter(coeffs), s=(grid.nx, grid.ny), workers=FFT_WORKERS)
+        u = band.to_physical(coeffs)
         u /= area
         w = flux(u, out=u)
     else:
         w = flux(u)
-    w_hat = band.gather(_fft.rfft2(w, workers=FFT_WORKERS))
+    w_hat = band.from_physical(w)
     w_hat *= area
     return np.multiply(band.ixi, w_hat, out=w_hat)

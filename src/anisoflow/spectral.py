@@ -2,7 +2,7 @@
 and the alias-free band as a compact layout.
 
 Every field is real, so a spectrum is stored on the half lattice of
-scipy.fft.rfft2, shape (nx, ny//2 + 1): the coefficient at -xi is the
+numpy.fft.rfft2, shape (nx, ny//2 + 1): the coefficient at -xi is the
 conjugate of the one at xi and is not kept.  The transform pair
 approximates the continuous Fourier transform on a periodic box: forward
 coefficients carry the dx*dy quadrature weight, so |coeffs(xi)| <= ||u||_L1
@@ -22,8 +22,14 @@ on band arrays (band_layout): the retained rows and columns of the half
 lattice packed into one smaller array, gathered from and scattered back to
 the half lattice once per step.  The layout is the one owner of the band's
 row order: truncation to the band, the fold onto |j| that the energy
-ledger sums over, and the inequality lab's corpus, which synthesizes its
-band-limited fields on a BandLayout of its own band, all go through it.
+ledger sums over, the flux's transform pair, which runs its x-transforms
+on the band's columns only, and the inequality lab's corpus, which
+synthesizes its band-limited fields on a BandLayout of its own band, all
+go through it.
+
+Every transform runs on numpy.fft's pocketfft, single-threaded, and gives
+the bits of scipy.fft's rfft2 and irfft2 (one scaling by 1/(nx*ny) after
+the inverse, not one per axis); the tests hold it to that.
 """
 
 from __future__ import annotations
@@ -34,11 +40,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft as _fft
-
-# pocketfft is deterministic for any worker count; 2 matches the small
-# containers this usually runs in.
-FFT_WORKERS = 2
 
 
 def _set_malloc_policy() -> None:
@@ -206,19 +207,39 @@ def make_grid(nx: int, ny: int, lx: float, ly: float) -> GridSpec:
     return GridSpec(nx=int(nx), ny=int(ny), lx=float(lx), ly=float(ly))
 
 
+def _rfft2(values: np.ndarray, ncols: int) -> np.ndarray:
+    """Fresh half lattice whose first ncols columns are those of
+    rfft2(values); the x-transform skips the columns after them, which
+    hold only the y-transform."""
+    c = np.fft.rfft(values, axis=1)
+    block = c[:, :ncols]
+    np.fft.fft(block, axis=0, out=block)
+    return c
+
+
+def _irfft2(block: np.ndarray, ny: int) -> np.ndarray:
+    """irfft2 of the half lattice whose first columns are block and whose
+    other columns are zero, as fresh real samples; block is overwritten."""
+    np.fft.ifft(block, axis=0, norm="forward", out=block)
+    values = np.fft.irfft(block, n=ny, axis=1, norm="forward")
+    values *= 1.0 / (block.shape[0] * ny)
+    return values
+
+
 def forward_transform(u: PhysicalField) -> SpectralField:
     """Physical samples -> quadrature-weighted Fourier coefficients."""
     if not np.all(np.isfinite(u.values)):
         raise ValueError("physical field contains nonfinite values")
-    coeffs = _fft.rfft2(u.values, workers=FFT_WORKERS)
-    coeffs *= u.grid.cell_area()
-    return SpectralField(u.grid, coeffs)
+    g = u.grid
+    coeffs = _rfft2(u.values, g.ny // 2 + 1)
+    coeffs *= g.cell_area()
+    return SpectralField(g, coeffs)
 
 
 def inverse_transform(v: SpectralField) -> PhysicalField:
     """Half-lattice Fourier coefficients -> real samples."""
     g = v.grid
-    values = _fft.irfft2(v.coeffs, s=(g.nx, g.ny), workers=FFT_WORKERS)
+    values = _irfft2(v.coeffs.copy(), g.ny)
     values /= g.cell_area()
     return PhysicalField(g, values)
 
@@ -262,10 +283,24 @@ class BandLayout:
 
     def scatter(self, b: np.ndarray) -> np.ndarray:
         """Band array -> fresh half-lattice array, zero outside the band."""
-        out = np.zeros((self.grid.nx, self.grid.ny // 2 + 1), dtype=b.dtype)
+        return self._place(b, self.grid.ny // 2 + 1)
+
+    def _place(self, b: np.ndarray, width: int) -> np.ndarray:
+        """The band rows of b in a fresh (nx, width) array, zero elsewhere."""
+        out = np.zeros((self.grid.nx, width), dtype=b.dtype)
         out[: self.n_pos, : self.ncols] = b[: self.n_pos]
         out[self.grid.nx - self.n_neg:, : self.ncols] = b[self.n_pos:]
         return out
+
+    def to_physical(self, b: np.ndarray) -> np.ndarray:
+        """irfft2(scatter(b)) for a complex band array b, as fresh real
+        samples; only the band's columns are transformed along x."""
+        return _irfft2(self._place(b, self.ncols), self.grid.ny)
+
+    def from_physical(self, w: np.ndarray) -> np.ndarray:
+        """gather(rfft2(w)) for real samples w, as a fresh band array; only
+        the band's columns are transformed along x."""
+        return self.gather(_rfft2(w, self.ncols))
 
     def holds(self, a: np.ndarray) -> bool:
         """Whether the half-lattice array a is exactly zero outside the band,

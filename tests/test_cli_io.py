@@ -580,6 +580,26 @@ class TestCli:
         write_timeseries(series, path, [1])
         assert cli_main(["audit", path]) == 2
 
+    @pytest.mark.parametrize("csv,message", [
+        ("t,l1,l2,l4,linf,diss_x,diss_y,ul_l2,uh_l2\n"
+         "0,1,1,1,1,0,0,0,0\nnan,1,1,1,1,0,0,0,0\n", "time must be finite"),
+        ("t,l1,l2,l4,linf,diss_x,diss_y,ul_l2,uh_l2\n"
+         "1,1,1,1,1,0,0,0,0\n0.5,1,1,1,1,0,0,0,0\n", "increase strictly"),
+        ("t,l1,l2,l4,linf,diss_x,diss_y,ul_l2,uh_l2\n"
+         "0,1,1,1,1,0,0,0,0\n0,1,1,1,1,0,0,0,0\n", "increase strictly"),
+        ("t,l1,l2,l4,linf,hg1,hg1,diss_x,diss_y,ul_l2,uh_l2\n"
+         "0,1,1,1,1,1,2,0,0,0,0\n", "distinct integers >= 1"),
+        ("t,l1,l2,l4,linf,hg-1,diss_x,diss_y,ul_l2,uh_l2\n"
+         "0,1,1,1,1,1,0,0,0,0\n", "distinct integers >= 1"),
+    ], ids=["nan_time", "decreasing", "repeated", "duplicate_hg", "negative_hg"])
+    def test_audit_cli_rejects_invalid_times_and_columns(self, tmp_path, capsys, csv, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(csv)
+        assert cli_main(["audit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_audit_cli_rejects_bad_tol(self, tmp_path, capsys, tol):
         from anisoflow.norms import NormSample
@@ -676,11 +696,11 @@ class TestDocs:
 
 
 class TestPackage:
-    def test_import_loads_no_scipy_stats(self):
-        # the package needs numpy and scipy.fft only; scipy.stats alone took
-        # most of a fresh import's time and about 44 MB of resident memory
+    def test_import_loads_no_scipy(self):
+        # the package needs numpy only; scipy.fft took about 60% of a fresh
+        # import's time and about 20 MB of resident memory, scipy.stats more
         code = ("import sys, anisoflow, anisoflow.cli\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=120)

@@ -223,7 +223,8 @@ class TestRecord:
             )
 
     def test_rejects_negative_entries(self):
-        for bad in ({"l1": -1.0}, {"ledger": -1.0}, {"ledger": np.inf}):
+        for bad in ({"l1": -1.0}, {"ledger": -1.0}, {"ledger": np.inf},
+                    {"t": -1.0}, {"t": np.nan}, {"t": np.inf}):
             entries = dict(
                 t=0.0, l1=0.0, l2=0.0, l4=0.0, linf=0.0, hgamma={},
                 diss_x=0.0, diss_y=0.0, ul_l2=0.0, uh_l2=0.0, ledger=0.0,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -235,6 +236,33 @@ class TestBandLayout:
             band.ixi[0, 0] = 1.0
         xi1, xi2 = g.mesh_xi()
         np.testing.assert_array_equal(band.ixi, band.gather(1j * (xi1 + xi2)))
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (48, 32), (16, 40)])
+class TestScipyReference:
+    """The package runs on numpy.fft; scipy.fft is the outside reference
+    whose bits every transform reproduces."""
+
+    @pytest.mark.parametrize("denom", [1, 3, 4])
+    def test_band_pair_is_bit_identical(self, shape, denom):
+        g = make_grid(*shape, TWO_PI, 1.5 * TWO_PI)
+        band = band_layout(g, denom)
+        w = random_field(g, 17).values
+        b = band.gather(scipy.fft.rfft2(random_field(g, 19).values))
+        np.testing.assert_array_equal(band.to_physical(b),
+                                      scipy.fft.irfft2(band.scatter(b), s=shape))
+        np.testing.assert_array_equal(band.from_physical(w), band.gather(scipy.fft.rfft2(w)))
+
+    def test_full_lattice_pair_is_bit_identical(self, shape):
+        g = make_grid(*shape, TWO_PI, 1.5 * TWO_PI)
+        u = random_field(g, 23)
+        coeffs = forward_transform(u).coeffs
+        np.testing.assert_array_equal(coeffs, scipy.fft.rfft2(u.values) * g.cell_area())
+        kept = coeffs.copy()
+        np.testing.assert_array_equal(inverse_transform(SpectralField(g, coeffs)).values,
+                                      scipy.fft.irfft2(coeffs, s=shape) / g.cell_area())
+        # the inverse leaves the coefficients it read unchanged
+        np.testing.assert_array_equal(coeffs, kept)
 
 
 class TestFourierWeightCache:

@@ -28,7 +28,7 @@ from anisoflow.errors import BlowUpError
 from anisoflow.norms import lp_norms, parseval_sums
 from anisoflow.operators import nonlinear_coeffs
 from anisoflow.run import advance_to
-from anisoflow.spectral import FFT_WORKERS, SpectralField, band_layout, fourier_weight
+from anisoflow.spectral import SpectralField, band_layout, fourier_weight
 from anisoflow.timestepper import _ledger_weights
 
 from conftest import TWO_PI, keep_mask, random_field, single_mode_spectrum, spectral_energy
@@ -200,8 +200,8 @@ def full_lattice_step(s: SimState, dt: float) -> tuple[np.ndarray, float]:
     xi1, xi2 = grid.mesh_xi()
 
     def rhs(coeffs):
-        u = scipy.fft.irfft2(np.where(keep, coeffs, 0.0), s=(grid.nx, grid.ny), workers=FFT_WORKERS) / area
-        w_hat = scipy.fft.rfft2(flux(u), workers=FFT_WORKERS) * area
+        u = scipy.fft.irfft2(np.where(keep, coeffs, 0.0), s=(grid.nx, grid.ny)) / area
+        w_hat = scipy.fft.rfft2(flux(u)) * area
         return -np.where(keep, 1j * (xi1 + xi2) * w_hat, 0.0)
 
     m = s.dissipation.symbol

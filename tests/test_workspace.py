@@ -84,11 +84,12 @@ class TestAllocationBudget:
 
     @pytest.mark.parametrize("kappa", [1, 2])
     def test_nonlinear_coeffs_peak_is_its_fft_outputs_and_result(self, grid, kappa):
-        # measured at 128^2 (numpy 2.4): 1.003 (kappa = 1) and 1.002
-        # (kappa = 2) times the irfft2 output, the rfft2 output and the
-        # returned band array together (the rest is under 1 kB of small
-        # objects): the scattered half lattice is freed before rfft2
-        # allocates its output of the same size.  1.41 times when the flux
+        # measured at 128^2 (numpy 2.4): 1.002 (kappa = 1 and 2) times the
+        # inverse transform's output, the forward transform's half lattice
+        # and the returned band array together (the rest is under 1 kB of
+        # small objects): the block of band columns the inverse fills is
+        # freed before the forward transform allocates.  1.003 when the
+        # band was scattered into a full half lattice, 1.41 when the flux
         # power also allocated per call.  Margin 25%.
         s = gaussian_state(grid, kappa=kappa)
         band = band_layout(grid, s.flux.dealias_denom)
