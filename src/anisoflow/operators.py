@@ -87,6 +87,7 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec,
     area = grid.cell_area()
     if u is None:
         u = band.to_physical(coeffs)
+        u *= 1.0 / (grid.nx * grid.ny)
         u /= area
         w = flux(u, out=u)
     else:

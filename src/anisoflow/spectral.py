@@ -28,8 +28,9 @@ synthesizes its band-limited fields on a BandLayout of its own band, all
 go through it.
 
 Every transform runs on numpy.fft's pocketfft, single-threaded, and gives
-the bits of scipy.fft's rfft2 and irfft2 (one scaling by 1/(nx*ny) after
-the inverse, not one per axis); the tests hold it to that.
+the bits of scipy.fft's rfft2 and irfft2 (inverse_transform scales once by
+1/(nx*ny), not once per axis; the flux's inverse, to_physical, is left
+unscaled for its caller); the tests hold it to that.
 """
 
 from __future__ import annotations
@@ -217,15 +218,6 @@ def _rfft2(values: np.ndarray, ncols: int) -> np.ndarray:
     return c
 
 
-def _irfft2(block: np.ndarray, ny: int) -> np.ndarray:
-    """irfft2 of the half lattice whose first columns are block and whose
-    other columns are zero, as fresh real samples; block is overwritten."""
-    np.fft.ifft(block, axis=0, norm="forward", out=block)
-    values = np.fft.irfft(block, n=ny, axis=1, norm="forward")
-    values *= 1.0 / (block.shape[0] * ny)
-    return values
-
-
 def forward_transform(u: PhysicalField) -> SpectralField:
     """Physical samples -> quadrature-weighted Fourier coefficients."""
     if not np.all(np.isfinite(u.values)):
@@ -239,7 +231,10 @@ def forward_transform(u: PhysicalField) -> SpectralField:
 def inverse_transform(v: SpectralField) -> PhysicalField:
     """Half-lattice Fourier coefficients -> real samples."""
     g = v.grid
-    values = _irfft2(v.coeffs.copy(), g.ny)
+    # unnormalized along both axes, then scipy's single factor 1/(nx*ny)
+    c = np.fft.ifft(v.coeffs, axis=0, norm="forward")
+    values = np.fft.irfft(c, n=g.ny, axis=1, norm="forward")
+    values *= 1.0 / (g.nx * g.ny)
     values /= g.cell_area()
     return PhysicalField(g, values)
 
@@ -283,19 +278,21 @@ class BandLayout:
 
     def scatter(self, b: np.ndarray) -> np.ndarray:
         """Band array -> fresh half-lattice array, zero outside the band."""
-        return self._place(b, self.grid.ny // 2 + 1)
-
-    def _place(self, b: np.ndarray, width: int) -> np.ndarray:
-        """The band rows of b in a fresh (nx, width) array, zero elsewhere."""
-        out = np.zeros((self.grid.nx, width), dtype=b.dtype)
+        out = np.zeros((self.grid.nx, self.grid.ny // 2 + 1), dtype=b.dtype)
         out[: self.n_pos, : self.ncols] = b[: self.n_pos]
         out[self.grid.nx - self.n_neg:, : self.ncols] = b[self.n_pos:]
         return out
 
     def to_physical(self, b: np.ndarray) -> np.ndarray:
-        """irfft2(scatter(b)) for a complex band array b, as fresh real
-        samples; only the band's columns are transformed along x."""
-        return _irfft2(self._place(b, self.ncols), self.grid.ny)
+        """nx*ny * irfft2(scatter(b)) for a complex band array b, the
+        inverse transform with no scaling, as fresh real samples; the
+        caller applies its own.  Only the band's columns are transformed
+        along x, in place in the scattered half lattice, whose full width
+        the y-transform then reads without padding a copy."""
+        c = self.scatter(b)
+        block = c[:, : self.ncols]
+        np.fft.ifft(block, axis=0, norm="forward", out=block)
+        return np.fft.irfft(c, n=self.grid.ny, axis=1, norm="forward")
 
     def from_physical(self, w: np.ndarray) -> np.ndarray:
         """gather(rfft2(w)) for real samples w, as a fresh band array; only

@@ -129,28 +129,52 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
             raise BlowUpError(s.t + dt, f"nonfinite state entering step to t={s.t + dt:.6g}")
         m = band.gather(s.dissipation.symbol)
         c = band.gather(s.u_hat.coeffs)
-        e_full = np.exp(-dt * m)
-        e_half = np.exp(-0.5 * dt * m)
+        e_full = np.exp(np.multiply(m, -dt))
+        e_half = np.exp(np.multiply(m, -0.5 * dt, out=m), out=m)
+        start = band.folded_abs2(c)
 
-        def rhs(coeffs, u=None):
-            return -nonlinear_coeffs(grid, coeffs, s.flux, u)
+        def k(coeffs, u=None):
+            # dt times the right-hand side -N, scaled in place
+            r = nonlinear_coeffs(grid, coeffs, s.flux, u)
+            r *= -dt
+            return r
 
-        # each stage is folded into the ledger as soon as its RHS is known,
-        # so no stage array outlives the next RHS evaluation
-        k1 = dt * rhs(c, s.physical.values if band.holds(s.u_hat.coeffs) else None)
-        stage = e_half * (c + 0.5 * k1)
-        k2 = dt * rhs(stage)
+        # The stages e_half*(c + k1/2), e_half*c + k2/2 and e_full*c +
+        # e_half*k3, and new = e_full*c + (e_full*k1 + 2*e_half*(k2 + k3) +
+        # k4)/6, are built in place with the same operations up to
+        # commuted operands, so they round as those expressions do.  Each
+        # array is folded into its next use as soon as that is known, so
+        # only e_full*c, the partial sum of new and the stage outlive the
+        # last RHS; each stage enters the ledger once its RHS is known.
+        k1 = k(c, s.physical.values if band.holds(s.u_hat.coeffs) else None)
+        stage = np.multiply(k1, 0.5)
+        stage += c
+        stage *= e_half
+        k2 = k(stage)
         mid = band.folded_abs2(stage)
-        stage = e_half * c + 0.5 * k2
-        k3 = dt * rhs(stage)
+        np.multiply(c, e_half, out=stage)
+        stage += 0.5 * k2
+        k3 = k(stage)
         mid += band.folded_abs2(stage)
-        stage = e_full * c + e_half * k3
-        k4 = dt * rhs(stage)
+        c *= e_full
+        np.multiply(e_half, k3, out=stage)
+        stage += c
+        k2 += k3
+        e_half *= 2.0
+        k2 *= e_half
+        new = k1
+        new *= e_full
+        new += k2
+        del k2, k3, e_half, e_full
+        k4 = k(stage)
         end = band.folded_abs2(stage)
         del stage
-        new = e_full * c + (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4) / 6.0
+        new += k4
+        del k4
+        new /= 6.0
+        new += c
         p0, p1, p2 = _ledger_weights(2.0 * dt * m_kept)
-        dissipated = p0 * band.folded_abs2(c) + p1 * (0.5 * mid) + p2 * end
+        dissipated = p0 * start + p1 * (0.5 * mid) + p2 * end
     dissipated = float(np.dot(dissipated.sum(0), grid.column_weight[: band.ncols])) / grid.area()
     if not (np.all(np.isfinite(new)) and np.isfinite(dissipated)):
         raise BlowUpError(s.t + dt)

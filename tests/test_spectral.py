@@ -249,8 +249,11 @@ class TestScipyReference:
         band = band_layout(g, denom)
         w = random_field(g, 17).values
         b = band.gather(scipy.fft.rfft2(random_field(g, 19).values))
+        kept = b.copy()
+        # the band's inverse is unscaled, which scipy.fft calls norm="forward"
         np.testing.assert_array_equal(band.to_physical(b),
-                                      scipy.fft.irfft2(band.scatter(b), s=shape))
+                                      scipy.fft.irfft2(band.scatter(b), s=shape, norm="forward"))
+        np.testing.assert_array_equal(b, kept)
         np.testing.assert_array_equal(band.from_physical(w), band.gather(scipy.fft.rfft2(w)))
 
     def test_full_lattice_pair_is_bit_identical(self, shape):
