@@ -120,10 +120,13 @@ def lp_norms(u: PhysicalField, ps) -> list[float]:
         for p in ps:
             if p == np.inf:
                 norms.append(float(a.max()))
-            else:
-                # np.power(a, p) has the bits of a ** p; a itself for p = 1
-                ap = a if p == 1 else np.power(a, p, out=ws.power)
-                norms.append(float((np.sum(ap) * cell) ** (1.0 / p)))
+                continue
+            # |u|^4 as the square of |u|^2: np.power(a, 4) goes through libm
+            # pow, several times slower, slowest on underflowing tails
+            ap = a if p == 1 else np.square(a, out=ws.power)
+            if p == 4:
+                np.square(ap, out=ap)
+            norms.append(float((np.sum(ap) * cell) ** (1.0 / p)))
     return norms
 
 

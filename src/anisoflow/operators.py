@@ -54,16 +54,11 @@ class FluxSpec:
         """Band denominator making degree-(kappa+1) products alias-free."""
         return self.kappa + 2
 
-    def __call__(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """f(u), fresh or into out (which may be u itself)."""
-        w = np.power(u, self.kappa + 1, out=out)
-        w /= self.kappa + 1
-        return w
-
 
 def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec,
-                     u: np.ndarray | None = None) -> np.ndarray:
-    """Spectral divergence of the flux, i*(xi1+xi2) * F[f(u)], on the band.
+                     u: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
+    """scale times the spectral divergence of the flux, i*(xi1+xi2) * F[f(u)],
+    on the band; step_ifrk4 passes scale = -dt and gets its RK4 increment.
 
     coeffs and the result are band arrays of band_layout(grid,
     flux.dealias_denom), quadrature-weighted: the state is zero outside the
@@ -72,26 +67,27 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec,
     retained modes.  The zero mode vanishes identically: the flux is in
     divergence form.  The transforms are the band's own pair
     (BandLayout.to_physical and from_physical), whose x-transforms run on
-    the band's columns only; the block the inverse fills is freed before
-    the forward transform allocates its half lattice, and the flux power
-    and both area scalings are taken in place, so at its peak a call holds
-    only the two transform outputs and the result.
+    the band's columns only, both unscaled.  Besides them the call makes
+    one pass over the real field, 1/(lx*ly) = 1/(nx*ny) / cell_area, taken
+    in place with the power u^(kappa+1); the forward weight cell_area, the
+    flux's 1/(kappa+1) and scale are one scalar on band.ixi, so the result
+    costs one band multiply.  The half lattice the inverse fills is freed
+    before the forward transform allocates its own, so at its peak a call
+    holds only the two transform outputs and the result.
     An inf or NaN in f(u) makes every output of the forward transform
     nonfinite, so the result carries it to the caller, which checks it.
 
     u, when given, is the real field of the scattered band, already known
-    to the caller; its inverse transform is then skipped and the flux power
-    is taken into a fresh array, leaving u unchanged.
+    to the caller; its inverse transform is then skipped and the power is
+    taken into a fresh array, leaving u unchanged.
     """
     band = band_layout(grid, flux.dealias_denom)
-    area = grid.cell_area()
+    power = flux.kappa + 1
     if u is None:
         u = band.to_physical(coeffs)
-        u *= 1.0 / (grid.nx * grid.ny)
-        u /= area
-        w = flux(u, out=u)
+        u *= 1.0 / grid.area()
+        w = np.power(u, power, out=u)
     else:
-        w = flux(u)
+        w = np.power(u, power)
     w_hat = band.from_physical(w)
-    w_hat *= area
-    return np.multiply(band.ixi, w_hat, out=w_hat)
+    return np.multiply(band.ixi * (scale * grid.cell_area() / power), w_hat, out=w_hat)

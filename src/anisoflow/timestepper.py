@@ -104,7 +104,9 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
     Stage 1 takes the flux of the state's own field (SimState.physical)
     when u_hat is exactly zero outside the band, as every state from
     run.initial_state and from this function is, and of the scattered band
-    otherwise; the two are the same bits in the first case.  A nonfinite
+    otherwise; in the first case the two agree to rounding, since
+    inverse_transform scales by 1/(nx*ny) and 1/cell_area in turn and the
+    flux's own inverse by 1/(lx*ly) at once.  A nonfinite
     value in the input state, or in the result or ledger after the four
     stages, raises BlowUpError carrying the time the step was aiming for;
     an overflow inside a stage reaches the result, as an inf or NaN in the
@@ -129,48 +131,45 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
             raise BlowUpError(s.t + dt, f"nonfinite state entering step to t={s.t + dt:.6g}")
         m = band.gather(s.dissipation.symbol)
         c = band.gather(s.u_hat.coeffs)
-        e_full = np.exp(np.multiply(m, -dt))
+        # one band exp: exp(-dt*m) is the square of exp(-dt*m/2)
         e_half = np.exp(np.multiply(m, -0.5 * dt, out=m), out=m)
+        e_full = np.square(e_half)
         start = band.folded_abs2(c)
-
-        def k(coeffs, u=None):
-            # dt times the right-hand side -N, scaled in place
-            r = nonlinear_coeffs(grid, coeffs, s.flux, u)
-            r *= -dt
-            return r
-
-        # The stages e_half*(c + k1/2), e_half*c + k2/2 and e_full*c +
-        # e_half*k3, and new = e_full*c + (e_full*k1 + 2*e_half*(k2 + k3) +
-        # k4)/6, are built in place with the same operations up to
-        # commuted operands, so they round as those expressions do.  Each
-        # array is folded into its next use as soon as that is known, so
-        # only e_full*c, the partial sum of new and the stage outlive the
-        # last RHS; each stage enters the ledger once its RHS is known.
-        k1 = k(c, s.physical.values if band.holds(s.u_hat.coeffs) else None)
+        # Each k is dt times the right-hand side -N.  The stages e_half*(c
+        # + k1/2), e_half*c + k2/2 and e_full*c + e_half*k3, and new =
+        # e_full*c + (e_full*k1 + 2*e_half*(k2 + k3) + k4)/6, are built in
+        # place with the same operations up to commuted operands, so they
+        # round as those expressions do.  Each array is folded into its
+        # next use as soon as that is known: c and k1 become e_full*c and
+        # e_full*k1 before the third RHS, and only they and the stage
+        # outlive the last.  Each stage enters the ledger once its RHS is
+        # known.
+        u = s.physical.values if band.holds(s.u_hat.coeffs) else None
+        k1 = nonlinear_coeffs(grid, c, s.flux, u, -dt)
         stage = np.multiply(k1, 0.5)
         stage += c
         stage *= e_half
-        k2 = k(stage)
+        k2 = nonlinear_coeffs(grid, stage, s.flux, scale=-dt)
         mid = band.folded_abs2(stage)
         np.multiply(c, e_half, out=stage)
         stage += 0.5 * k2
-        k3 = k(stage)
-        mid += band.folded_abs2(stage)
         c *= e_full
+        new = k1
+        new *= e_full
+        del k1, e_full
+        k3 = nonlinear_coeffs(grid, stage, s.flux, scale=-dt)
+        mid += band.folded_abs2(stage)
         np.multiply(e_half, k3, out=stage)
         stage += c
         k2 += k3
         e_half *= 2.0
         k2 *= e_half
-        new = k1
-        new *= e_full
         new += k2
-        del k2, k3, e_half, e_full
-        k4 = k(stage)
+        del k2, k3, e_half
+        k4 = nonlinear_coeffs(grid, stage, s.flux, scale=-dt)
         end = band.folded_abs2(stage)
         del stage
         new += k4
-        del k4
         new /= 6.0
         new += c
         p0, p1, p2 = _ledger_weights(2.0 * dt * m_kept)

@@ -48,13 +48,14 @@ class TestLpNorm:
         assert lp_norms(u, (2,))[0] == pytest.approx(np.sqrt(2.0 * np.pi ** 2), rel=1e-13)
 
     def test_quadrature_formula_bit_for_bit(self, grid32):
-        # the CSV's l1/l2/l4 bytes depend on a ** p with the same p: over
-        # these seeds, (a*a)**2 in place of a**4 moves the last bit of l4
+        # the CSV's l1/l2/l4 bytes depend on how |u|^p is formed: |u|^4 is
+        # (a*a)**2, which over these seeds moves the last bit of l4 against
+        # a ** 4
         for seed in range(32):
             u = random_field(grid32, seed)
             a = np.abs(u.values)
-            expected = [float((np.sum(a ** p) * grid32.cell_area()) ** (1.0 / p))
-                        for p in (1, 2, 4)]
+            expected = [float((np.sum(ap) * grid32.cell_area()) ** (1.0 / p))
+                        for p, ap in ((1, a), (2, a * a), (4, (a * a) ** 2))]
             assert lp_norms(u, (1, 2, 4, np.inf)) == [*expected, a.max()]
             # each norm is the same float whichever others share its |u|
             assert [lp_norms(u, (p,))[0] for p in (1, 2, 4)] == expected

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from anisoflow import (
     DissipationSpec,
@@ -7,6 +8,7 @@ from anisoflow import (
     PhysicalField,
     forward_transform,
     inverse_transform,
+    make_grid,
 )
 from anisoflow.norms import lp_norms, parseval_sums
 from anisoflow.operators import nonlinear_coeffs
@@ -165,6 +167,25 @@ class TestNonlinearTerm:
         u = random_field(grid16, 6)
         n = flux_divergence(u, FluxSpec(1))
         assert n.coeffs[0, 0] == 0.0
+
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    @pytest.mark.parametrize("given", [False, True])
+    def test_fused_scaling_matches_scipy(self, kappa, given):
+        # -dt*i*(xi1+xi2)*area*rfft2(irfft2(c)/area)^(kappa+1)/(kappa+1),
+        # area the cell area, on a nonsquare box; the package folds the
+        # scalings into one pass over the field and one scalar on the band
+        grid = make_grid(48, 40, 3.0, 5.0)
+        flux = FluxSpec(kappa)
+        band = band_layout(grid, flux.dealias_denom)
+        area, dt = grid.cell_area(), 0.0625
+        c = band.scatter(band.gather(forward_transform(random_field(grid, kappa)).coeffs))
+        u = scipy.fft.irfft2(c, s=(grid.nx, grid.ny)) / area
+        xi1, xi2 = grid.mesh_xi()
+        expected = -dt * 1j * (xi1 + xi2) * area * scipy.fft.rfft2(u ** (kappa + 1)) / (kappa + 1)
+        got = nonlinear_coeffs(grid, band.gather(c), flux, u if given else None, -dt)
+        err = np.max(np.abs(band.scatter(got) - np.where(keep_mask(grid, flux.dealias_denom),
+                                                         expected, 0.0)))
+        assert err <= 1e-14 * np.max(np.abs(expected))
 
     def test_result_is_dealiased(self, grid16):
         u = random_field(grid16, 7)

@@ -193,21 +193,27 @@ class TestStepNonlinear:
 def full_lattice_step(s: SimState, dt: float) -> tuple[np.ndarray, float]:
     """Reference flux step with every array on the whole half lattice: the
     flux input and output and the result are masked to the alias-free band,
-    and the ledger folds the band rows of the full stage arrays."""
+    and the ledger folds the band rows of the full stage arrays.  It takes
+    the step's scalings: each k is -dt*cell_area/(kappa+1) times
+    i*(xi1+xi2) times the transform of the power, stage 1 reads the
+    state's own field when the state holds only band modes and every other
+    stage the unscaled inverse times 1/(lx*ly), and e_full is e_half**2."""
     grid, flux = s.grid, s.flux
     keep = keep_mask(grid, flux.dealias_denom)
-    area = grid.cell_area()
     xi1, xi2 = grid.mesh_xi()
+    power = flux.kappa + 1
 
-    def rhs(coeffs):
-        u = scipy.fft.irfft2(np.where(keep, coeffs, 0.0), s=(grid.nx, grid.ny)) / area
-        w_hat = scipy.fft.rfft2(flux(u)) * area
-        return -np.where(keep, 1j * (xi1 + xi2) * w_hat, 0.0)
+    def k(coeffs, u=None):
+        if u is None:
+            u = scipy.fft.irfft2(np.where(keep, coeffs, 0.0), s=(grid.nx, grid.ny),
+                                 norm="forward") * (1.0 / grid.area())
+        w_hat = scipy.fft.rfft2(np.power(u, power))
+        return np.where(keep, (1j * (xi1 + xi2) * (-dt * grid.cell_area() / power)) * w_hat, 0.0)
 
     m = s.dissipation.symbol
     c = s.u_hat.coeffs
-    e_full = np.exp(-dt * m)
     e_half = np.exp(-0.5 * dt * m)
+    e_full = e_half ** 2
     n_pos, n_neg, ncols = (int(np.count_nonzero(keep[: grid.nx // 2, 0])),
                            int(np.count_nonzero(keep[grid.nx // 2:, 0])),
                            int(np.count_nonzero(keep[0])))
@@ -220,15 +226,16 @@ def full_lattice_step(s: SimState, dt: float) -> tuple[np.ndarray, float]:
             dest += rows.imag ** 2
         return out
 
-    k1 = dt * rhs(c)
+    holds = np.all(np.where(keep, 0.0, c) == 0.0)
+    k1 = k(c, scipy.fft.irfft2(c, s=(grid.nx, grid.ny)) / grid.cell_area() if holds else None)
     stage = e_half * (c + 0.5 * k1)
-    k2 = dt * rhs(stage)
+    k2 = k(stage)
     mid = folded_abs2(stage)
     stage = e_half * c + 0.5 * k2
-    k3 = dt * rhs(stage)
+    k3 = k(stage)
     mid += folded_abs2(stage)
     stage = e_full * c + e_half * k3
-    k4 = dt * rhs(stage)
+    k4 = k(stage)
     end = folded_abs2(stage)
     new = e_full * c + (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4) / 6.0
     p0, p1, p2 = _ledger_weights(2.0 * dt * m[: max(n_pos, n_neg + 1), :ncols])

@@ -87,16 +87,35 @@ class TestAllocationBudget:
         # measured at 128^2 (numpy 2.4): 1.002 (kappa = 1 and 2) times the
         # inverse transform's output, the forward transform's half lattice
         # and the returned band array together (the rest is under 1 kB of
-        # small objects): the block of band columns the inverse fills is
-        # freed before the forward transform allocates.  1.003 when the
-        # band was scattered into a full half lattice, 1.41 when the flux
-        # power also allocated per call.  Margin 25%.
+        # small objects): the half lattice the inverse fills is freed
+        # before the forward transform allocates its own.  The same 1.002
+        # when the inverse padded a block of the band's columns, 1.41 when
+        # the flux power also allocated per call.  Margin 25%.
         s = gaussian_state(grid, kappa=kappa)
         band = band_layout(grid, s.flux.dealias_denom)
         c = band.gather(s.u_hat.coeffs)
         budget = self.REAL + N * (N // 2 + 1) * 16 + c.nbytes
         peak = transient_peak(lambda: nonlinear_coeffs(grid, c, s.flux))
         assert peak <= 1.25 * budget, f"{peak / budget:.3f} of the budget"
+
+
+    @pytest.mark.parametrize("kappa", [1, 2])
+    def test_flux_step_peak_is_six_band_arrays_and_the_fft_outputs(self, grid, kappa):
+        # measured at 128^2 (numpy 2.4): one real field and one half
+        # lattice, the transform outputs of a right-hand side, and 6.04
+        # (kappa = 1) and 6.06 (kappa = 2) band arrays.  Inside the third
+        # RHS the step holds e_full*c, e_full*k1, k2 and the stage, its
+        # real e_half and the ledger's two folded sums (half a band array
+        # between them), and the RHS its result.  8.05 and 7.83 band arrays
+        # when the stages and the RK4 combination were built from
+        # per-operation temporaries.  Margin 25% of the band arrays.
+        s = gaussian_state(grid, kappa=kappa)
+        band = band_layout(grid, s.flux.dealias_denom)
+        band_bytes = band.gather(s.u_hat.coeffs).nbytes
+        fft_outputs = self.REAL + N * (N // 2 + 1) * 16
+        peak = transient_peak(lambda: step_ifrk4(s, 0.05))
+        assert peak <= fft_outputs + 1.25 * 6 * band_bytes, \
+            f"{(peak - fft_outputs) / band_bytes:.2f} band arrays"
 
 
 class TestNoAliasing:
