@@ -68,26 +68,29 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec,
     divergence form.  The transforms are the band's own pair
     (BandLayout.to_physical and from_physical), whose x-transforms run on
     the band's columns only, both unscaled.  Besides them the call makes
-    one pass over the real field, 1/(lx*ly) = 1/(nx*ny) / cell_area, taken
-    in place with the power u^(kappa+1); the forward weight cell_area, the
-    flux's 1/(kappa+1) and scale are one scalar on band.ixi, so the result
-    costs one band multiply.  The half lattice the inverse fills is freed
-    before the forward transform allocates its own, so at its peak a call
-    holds only the two transform outputs and the result.
+    one pass over the real field, the power u^(kappa+1) taken in place on
+    the unscaled inverse, and two band multiplies: by band.ixi and by one
+    real scalar that holds the inverse's 1/(lx*ly) to the power kappa+1,
+    the forward weight cell_area, the flux's 1/(kappa+1) and scale.  The
+    half lattice the inverse fills is freed before the forward transform
+    allocates its own, so at its peak a call holds only the two transform
+    outputs and the result.
     An inf or NaN in f(u) makes every output of the forward transform
     nonfinite, so the result carries it to the caller, which checks it.
 
-    u, when given, is the real field of the scattered band, already known
-    to the caller; its inverse transform is then skipped and the power is
-    taken into a fresh array, leaving u unchanged.
+    u, when given, is the real field of the scattered band with its
+    1/(lx*ly) already applied (the state's own field, SimState.physical);
+    its inverse transform is then skipped, the scalar omits that factor,
+    and the power is taken into a fresh array, leaving u unchanged.
     """
     band = band_layout(grid, flux.dealias_denom)
     power = flux.kappa + 1
+    out = None
     if u is None:
-        u = band.to_physical(coeffs)
-        u *= 1.0 / grid.area()
-        w = np.power(u, power, out=u)
-    else:
-        w = np.power(u, power)
+        u = out = band.to_physical(coeffs)
+        scale /= grid.area() ** power
+    w = np.square(u, out=out) if power == 2 else np.power(u, power, out=out)
     w_hat = band.from_physical(w)
-    return np.multiply(band.ixi * (scale * grid.cell_area() / power), w_hat, out=w_hat)
+    w_hat *= band.ixi
+    w_hat *= scale * grid.cell_area() / power
+    return w_hat

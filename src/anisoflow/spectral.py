@@ -29,8 +29,11 @@ go through it.
 
 Every transform runs on numpy.fft's pocketfft, single-threaded, and gives
 the bits of scipy.fft's rfft2 and irfft2 (inverse_transform scales once by
-1/(nx*ny), not once per axis; the flux's inverse, to_physical, is left
-unscaled for its caller); the tests hold it to that.
+1/(nx*ny), not once per axis; the band's inverse, to_physical, is left
+unscaled for its caller); the tests hold it to that.  A flux state held by
+its band builds its field with to_physical and one scaling by 1/(lx*ly)
+(SimState.physical), which agrees with inverse_transform to rounding, and
+the flux folds that scaling into the scalar of its result.
 """
 
 from __future__ import annotations
@@ -310,12 +313,21 @@ class BandLayout:
         """|b|^2 of a band array with rows j and -j summed onto row |j|,
         shape (n_folded, ncols): the first n_folded rows and ncols columns
         of the half lattice, where an array even in j is fully known."""
-        out = np.zeros((self.n_folded, self.ncols))
-        for rows, dest in ((b[: self.n_pos], out[: self.n_pos]),
-                           (b[: -self.n_neg - 1: -1], out[1: self.n_neg + 1])):
-            dest += rows.real ** 2
-            dest += rows.imag ** 2
+        n = self.n_folded
+        out = _abs2(b[:n])
+        # the rows after the first n_folded are j < 0 in lattice order, whose
+        # |j| runs from the last band row down; for denom = 1 the Nyquist
+        # row j = -nx/2 is row n_pos of b and already in place
+        neg = b[n:]
+        out[1: len(neg) + 1] += _abs2(neg[::-1])
         return out
+
+
+def _abs2(b: np.ndarray) -> np.ndarray:
+    """|b|^2 = re^2 + im^2 of a complex array, as a fresh real array."""
+    out = np.square(b.real)
+    out += np.square(b.imag)
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -46,7 +46,9 @@ class SimState:
 
     The real samples of u_hat are built once per state (physical) and
     shared by everything that reads them: the CFL bound, stage 1 of the
-    next flux step, record and checkpoint_write.
+    next flux step, record and checkpoint_write.  Whether u_hat is held by
+    the flux's alias-free band is also found once per state (_band_held),
+    and both the field and the step read it.
     """
 
     t: float
@@ -54,9 +56,10 @@ class SimState:
     dissipation: DissipationSpec
     flux: FluxSpec | None
     ledger: float = 0.0
-    # (u_hat, its real samples) once physical has built them; replace()
-    # carries the pair, which is reused only while u_hat is that object
-    _physical: tuple[SpectralField, PhysicalField] | None = field(
+    # (u_hat, whether its band holds it, its real samples or None until
+    # physical builds them); replace() carries the triple, which is reused
+    # only while u_hat is that object
+    _derived: tuple[SpectralField, bool, PhysicalField | None] | None = field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -71,16 +74,42 @@ class SimState:
     def grid(self) -> GridSpec:
         return self.u_hat.grid
 
+    def _band_held(self) -> bool:
+        """Whether the flux is on and u_hat is exactly zero outside its
+        alias-free band (BandLayout.holds), as every state from
+        run.initial_state and step_ifrk4 is; found once per u_hat."""
+        kept = self._derived
+        if kept is None or kept[0] is not self.u_hat:
+            held = self.flux is not None and band_layout(
+                self.grid, self.flux.dealias_denom).holds(self.u_hat.coeffs)
+            kept = (self.u_hat, held, None)
+            object.__setattr__(self, "_derived", kept)
+        return kept[1]
+
     @property
     def physical(self) -> PhysicalField:
-        """inverse_transform(u_hat), built on first use and kept, read-only."""
-        kept = self._physical
-        if kept is None or kept[0] is not self.u_hat:
-            u = inverse_transform(self.u_hat)
+        """The real samples of u_hat, built on first use and kept, read-only.
+
+        A state held by its flux band (_band_held) builds them from the band,
+        band.to_physical(band.gather(u_hat)) times 1/(lx*ly) in one pass, the
+        field the flux itself builds from a band array; this agrees with
+        inverse_transform(u_hat), which scales by 1/(nx*ny) and 1/cell_area
+        in turn, to rounding.  Every other state, flux-free ones and states
+        read from a checkpoint among them, takes inverse_transform(u_hat).
+        """
+        held = self._band_held()
+        u = self._derived[2]
+        if u is None:
+            if held:
+                band = band_layout(self.grid, self.flux.dealias_denom)
+                values = band.to_physical(band.gather(self.u_hat.coeffs))
+                values *= 1.0 / self.grid.area()
+                u = PhysicalField(self.grid, values)
+            else:
+                u = inverse_transform(self.u_hat)
             u.values.flags.writeable = False
-            kept = (self.u_hat, u)
-            object.__setattr__(self, "_physical", kept)
-        return kept[1]
+            object.__setattr__(self, "_derived", (self.u_hat, held, u))
+        return u
 
 
 def linear_exact(u0_hat: SpectralField, d: DissipationSpec, t: float) -> SpectralField:
@@ -104,9 +133,8 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
     Stage 1 takes the flux of the state's own field (SimState.physical)
     when u_hat is exactly zero outside the band, as every state from
     run.initial_state and from this function is, and of the scattered band
-    otherwise; in the first case the two agree to rounding, since
-    inverse_transform scales by 1/(nx*ny) and 1/cell_area in turn and the
-    flux's own inverse by 1/(lx*ly) at once.  A nonfinite
+    otherwise; the state's field is then built from the band, as the flux
+    would build it.  A nonfinite
     value in the input state, or in the result or ledger after the four
     stages, raises BlowUpError carrying the time the step was aiming for;
     an overflow inside a stage reaches the result, as an inf or NaN in the
@@ -126,14 +154,19 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
         # exact for the free decay: 0.5*|c|^2*(1 - exp(-2*m*dt)) per mode
         dissipated = -0.5 * np.expm1(-2.0 * dt * m_kept) * band.folded_abs2(s.u_hat.coeffs)
     else:
-        # the step never reads outside the band, so only this sees a NaN there
-        if not np.all(np.isfinite(s.u_hat.coeffs)):
+        held = s._band_held()
+        c = band.gather(s.u_hat.coeffs)
+        # the step never reads outside the band, so only this sees a NaN
+        # there; a held state has none, as holds reads a NaN as nonzero
+        if not np.all(np.isfinite(c if held else s.u_hat.coeffs)):
             raise BlowUpError(s.t + dt, f"nonfinite state entering step to t={s.t + dt:.6g}")
         m = band.gather(s.dissipation.symbol)
-        c = band.gather(s.u_hat.coeffs)
         # one band exp: exp(-dt*m) is the square of exp(-dt*m/2)
         e_half = np.exp(np.multiply(m, -0.5 * dt, out=m), out=m)
         e_full = np.square(e_half)
+        # exp(-dt*m) on the folded rows j >= 0, the band's first n_folded
+        # rows: the ledger weights' exp(-z/2) for z = 2*m*dt
+        shrink = e_full[: band.n_folded].copy()
         start = band.folded_abs2(c)
         # Each k is dt times the right-hand side -N.  The stages e_half*(c
         # + k1/2), e_half*c + k2/2 and e_full*c + e_half*k3, and new =
@@ -144,7 +177,7 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
         # e_full*k1 before the third RHS, and only they and the stage
         # outlive the last.  Each stage enters the ledger once its RHS is
         # known.
-        u = s.physical.values if band.holds(s.u_hat.coeffs) else None
+        u = s.physical.values if held else None
         k1 = nonlinear_coeffs(grid, c, s.flux, u, -dt)
         stage = np.multiply(k1, 0.5)
         stage += c
@@ -174,8 +207,14 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
         # its reciprocal, so this has the bits of /6 at a tenth of the cost
         new *= 1.0 / 6.0
         new += c
-        p0, p1, p2 = _ledger_weights(2.0 * dt * m_kept)
-        dissipated = p0 * start + p1 * (0.5 * mid) + p2 * end
+        p0, p1, p2 = _ledger_weights(2.0 * dt * m_kept, shrink)
+        # p0*start + p1*(0.5*mid) + p2*end
+        dissipated = np.multiply(start, p0, out=start)
+        mid *= 0.5
+        mid *= p1
+        dissipated += mid
+        end *= p2
+        dissipated += end
     dissipated = float(np.dot(dissipated.sum(0), grid.column_weight[: band.ncols])) / grid.area()
     if not (np.all(np.isfinite(new)) and np.isfinite(dissipated)):
         raise BlowUpError(s.t + dt)
@@ -184,8 +223,10 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
     return replace(s, t=s.t + dt, u_hat=SpectralField(grid, new), ledger=s.ledger + dissipated)
 
 
-def _ledger_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-mode weights of the step's dissipation integral, for z = 2*m*dt >= 0.
+def _ledger_weights(z: np.ndarray, shrink: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-mode weights of the step's dissipation integral, for z = 2*m*dt >= 0
+    and shrink = exp(-z/2), which the step already holds as exp(-dt*m).
 
     The integral of m*|u_hat|^2 over the step is P0*|c|^2 + P1*mid + P2*end,
     with mid the mean of |u_hat|^2 over the two s = dt/2 stages and end
@@ -194,16 +235,36 @@ def _ledger_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     quadratically through these three points and integrates exp(-2*m*s)
     times that quadratic exactly.  Finite for every z, and exact on the
     free decay u = exp(-m*s)*c: P0 + P1*exp(-z/2) + P2*exp(-z) = (1 - exp(-z))/2.
+    The closed forms below are evaluated in the order of
+    P0 = (z^2 + 4 - 3z - (z + 4)*shrink^2) / (2z^2),
+    P1 = 4*((z - 2)*grow + (z + 2)*shrink) / (2z^2) and
+    P2 = ((4 - z)*grow^2 - (z^2 + 4) - 3z) / (2z^2), grow = 1/shrink,
+    with every pass taken in place.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        grow = np.exp(0.5 * z)
-        shrink = 1.0 / grow
-        half_inv = 0.5 / (z * z)
-        even = z * z + 4.0
+        grow = np.divide(1.0, shrink)
+        even = z * z
+        half_inv = np.divide(0.5, even)
+        even += 4.0
         odd = 3.0 * z
-        p0 = half_inv * (even - odd - (z + 4.0) * shrink * shrink)
-        p1 = 4.0 * half_inv * ((z - 2.0) * grow + (z + 2.0) * shrink)
-        p2 = half_inv * ((4.0 - z) * grow * grow - even - odd)
+        p0 = z + 4.0
+        p0 *= shrink
+        p0 *= shrink
+        np.subtract(even - odd, p0, out=p0)
+        p0 *= half_inv
+        p1 = z - 2.0
+        p1 *= grow
+        p2 = z + 2.0
+        p2 *= shrink
+        p1 += p2
+        p1 *= half_inv
+        p1 *= 4.0
+        np.subtract(4.0, z, out=p2)
+        p2 *= grow
+        p2 *= grow
+        p2 -= even
+        p2 -= odd
+        p2 *= half_inv
     small = z < _Z_SERIES
     zs = z[small]
     w = 0.5 * zs
@@ -214,8 +275,8 @@ def _ledger_weights(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if np.any(stiff):
         # bounded rule: exact for 1, s and exp(-2*m*s), equal end weights
         zb = z[stiff]
-        decay = np.exp(-0.5 * zb)
-        end = 0.5 * zb * (-np.expm1(-zb) / zb - decay) / (1.0 - decay) ** 2
+        decay = shrink[stiff]
+        end = 0.5 * zb * ((1.0 - decay * decay) / zb - decay) / (1.0 - decay) ** 2
         p0[stiff] = end
         p1[stiff] = 0.5 * zb - 2.0 * end
         p2[stiff] = end

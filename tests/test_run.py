@@ -17,7 +17,7 @@ from anisoflow import (
     run_simulation,
     sample_times,
 )
-from anisoflow.io import checkpoint_write, write_timeseries
+from anisoflow.io import checkpoint_read, checkpoint_write, write_timeseries
 from anisoflow.errors import BlowUpError
 from anisoflow.norms import workspace
 from anisoflow.run import advance_to
@@ -169,13 +169,31 @@ def test_no_sampler_thread_outlives_the_run(tmp_path, monkeypatch, ending):
 
 class TestPhysicalField:
     def test_built_once_and_kept_across_a_time_snap(self, tmp_path):
+        # a band-held state's field is built from the band and scaled once
+        # by 1/(lx*ly), where inverse_transform scales twice
         s = initial_state(small_config(tmp_path))
         u = s.physical
         assert s.physical is u
         assert replace(s, t=1.0).physical is u
-        np.testing.assert_array_equal(u.values, inverse_transform(s.u_hat).values)
+        ref = inverse_transform(s.u_hat).values
+        assert np.max(np.abs(u.values - ref)) <= 4e-16 * np.max(np.abs(ref))
         with pytest.raises(ValueError):
             u.values[0, 0] = 1.0
+
+    @pytest.mark.parametrize("source", ["checkpoint", "flux-free", "outside the band"])
+    def test_a_state_not_held_by_the_band_keeps_the_inverse_transform(self, tmp_path, source):
+        s = initial_state(small_config(tmp_path, nonlinearity_enabled=source != "flux-free"))
+        if source == "checkpoint":
+            # the reloaded spectrum is the forward transform of the field,
+            # nonzero outside the band
+            checkpoint_write(s, str(tmp_path / "s.ckpt"))
+            s = checkpoint_read(str(tmp_path / "s.ckpt"))
+            assert s.flux is not None
+        elif source == "outside the band":
+            coeffs = s.u_hat.coeffs.copy()
+            coeffs[s.grid.nx // 2, 1] = 1e-3
+            s = replace(s, u_hat=replace(s.u_hat, coeffs=coeffs))
+        np.testing.assert_array_equal(s.physical.values, inverse_transform(s.u_hat).values)
 
     def test_rebuilt_for_a_new_spectrum(self, tmp_path):
         s = initial_state(small_config(tmp_path))

@@ -29,7 +29,7 @@ from anisoflow.norms import lp_norms, parseval_sums
 from anisoflow.operators import nonlinear_coeffs
 from anisoflow.run import advance_to
 from anisoflow.spectral import SpectralField, band_layout, fourier_weight
-from anisoflow.timestepper import _ledger_weights
+from anisoflow.timestepper import _F_SERIES, _G_SERIES, _Z_FIT, _Z_SERIES, _ledger_weights
 
 from conftest import TWO_PI, keep_mask, random_field, single_mode_spectrum, spectral_energy
 
@@ -194,21 +194,24 @@ def full_lattice_step(s: SimState, dt: float) -> tuple[np.ndarray, float]:
     """Reference flux step with every array on the whole half lattice: the
     flux input and output and the result are masked to the alias-free band,
     and the ledger folds the band rows of the full stage arrays.  It takes
-    the step's scalings: each k is -dt*cell_area/(kappa+1) times
-    i*(xi1+xi2) times the transform of the power, stage 1 reads the
-    state's own field when the state holds only band modes and every other
-    stage the unscaled inverse times 1/(lx*ly), and e_full is e_half**2."""
+    the step's scalings: stage 1 reads the state's own field, the unscaled
+    inverse times 1/(lx*ly), when the state holds only band modes, and each
+    k is then -dt*cell_area/(kappa+1) times i*(xi1+xi2) times the transform
+    of the power; every other stage powers the unscaled inverse and folds
+    its 1/(lx*ly)^(kappa+1) into that scalar.  e_full is e_half**2 and
+    gives the ledger weights their exp(-dt*m)."""
     grid, flux = s.grid, s.flux
     keep = keep_mask(grid, flux.dealias_denom)
     xi1, xi2 = grid.mesh_xi()
     power = flux.kappa + 1
 
     def k(coeffs, u=None):
+        scale = -dt
         if u is None:
-            u = scipy.fft.irfft2(np.where(keep, coeffs, 0.0), s=(grid.nx, grid.ny),
-                                 norm="forward") * (1.0 / grid.area())
+            u = scipy.fft.irfft2(np.where(keep, coeffs, 0.0), s=(grid.nx, grid.ny), norm="forward")
+            scale /= grid.area() ** power
         w_hat = scipy.fft.rfft2(np.power(u, power))
-        return np.where(keep, (1j * (xi1 + xi2) * (-dt * grid.cell_area() / power)) * w_hat, 0.0)
+        return np.where(keep, (1j * (xi1 + xi2)) * w_hat * (scale * grid.cell_area() / power), 0.0)
 
     m = s.dissipation.symbol
     c = s.u_hat.coeffs
@@ -217,17 +220,18 @@ def full_lattice_step(s: SimState, dt: float) -> tuple[np.ndarray, float]:
     n_pos, n_neg, ncols = (int(np.count_nonzero(keep[: grid.nx // 2, 0])),
                            int(np.count_nonzero(keep[grid.nx // 2:, 0])),
                            int(np.count_nonzero(keep[0])))
+    n_folded = max(n_pos, n_neg + 1)
 
     def folded_abs2(a):
-        # rows j and -j of the band summed onto row |j|
-        out = np.zeros((max(n_pos, n_neg + 1), ncols))
-        for rows, dest in ((a[:n_pos, :ncols], out[:n_pos]), (a[: -n_neg - 1: -1, :ncols], out[1: n_neg + 1])):
-            dest += rows.real ** 2
-            dest += rows.imag ** 2
+        # |a|^2 once, then rows -j added onto rows j of the band
+        a2 = a.real ** 2 + a.imag ** 2
+        out = a2[:n_pos, :ncols].copy()
+        out[1: n_neg + 1] += a2[: -n_neg - 1: -1, :ncols]
         return out
 
     holds = np.all(np.where(keep, 0.0, c) == 0.0)
-    k1 = k(c, scipy.fft.irfft2(c, s=(grid.nx, grid.ny)) / grid.cell_area() if holds else None)
+    u1 = scipy.fft.irfft2(c, s=(grid.nx, grid.ny), norm="forward") * (1.0 / grid.area())
+    k1 = k(c, u1 if holds else None)
     stage = e_half * (c + 0.5 * k1)
     k2 = k(stage)
     mid = folded_abs2(stage)
@@ -238,7 +242,7 @@ def full_lattice_step(s: SimState, dt: float) -> tuple[np.ndarray, float]:
     k4 = k(stage)
     end = folded_abs2(stage)
     new = e_full * c + (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4) / 6.0
-    p0, p1, p2 = _ledger_weights(2.0 * dt * m[: max(n_pos, n_neg + 1), :ncols])
+    p0, p1, p2 = _ledger_weights(2.0 * dt * m[:n_folded, :ncols], e_full[:n_folded, :ncols])
     dissipated = p0 * folded_abs2(c) + p1 * (0.5 * mid) + p2 * end
     dissipated = float(np.dot(dissipated.sum(axis=0), grid.column_weight[:ncols])) / grid.area()
     return np.where(keep, new, 0.0), s.ledger + dissipated
@@ -376,6 +380,68 @@ class TestEnergyLedger:
         v = single_mode_spectrum(grid16, 1, 0)
         with pytest.raises(ValueError):
             SimState(0.0, v, d, None, ledger=-1.0)
+
+
+def exp_form_weights(z):
+    """The ledger weights as built before they took exp(-z/2) from the
+    step's e_full: their own exp(z/2), the series below _Z_SERIES and the
+    bounded rule above _Z_FIT with exp and expm1."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        grow = np.exp(0.5 * z)
+        shrink = 1.0 / grow
+        half_inv = 0.5 / (z * z)
+        even = z * z + 4.0
+        odd = 3.0 * z
+        p0 = half_inv * (even - odd - (z + 4.0) * shrink * shrink)
+        p1 = 4.0 * half_inv * ((z - 2.0) * grow + (z + 2.0) * shrink)
+        p2 = half_inv * ((4.0 - z) * grow * grow - even - odd)
+    small = z < _Z_SERIES
+    w = 0.5 * z[small]
+    p0[small] = w * np.polynomial.polynomial.polyval(-z[small], _F_SERIES)
+    p1[small] = w * np.polynomial.polynomial.polyval(w * w, _G_SERIES)
+    p2[small] = w * np.polynomial.polynomial.polyval(z[small], _F_SERIES)
+    stiff = z > _Z_FIT
+    zb = z[stiff]
+    decay = np.exp(-0.5 * zb)
+    end = 0.5 * zb * (-np.expm1(-zb) / zb - decay) / (1.0 - decay) ** 2
+    p0[stiff], p1[stiff], p2[stiff] = end, 0.5 * zb - 2.0 * end, end
+    return p0, p1, p2
+
+
+class TestLedgerWeights:
+    # both sides of the series switch (0.2) and of the bounded rule (6),
+    # and stiff modes whose exp(-z/2) is tiny
+    Z = np.array([0.0, 0.19, 0.2, 0.21, 1.0, 5.99, 6.0, 6.01, 40.0, 1e3])
+
+    def test_given_exp_matches_the_exp_form(self):
+        for got, ref in zip(_ledger_weights(self.Z, np.exp(-0.5 * self.Z)),
+                            exp_form_weights(self.Z)):
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    def test_given_e_full_matches_the_exp_form(self):
+        # the step's e_full = exp(-dt*m/2)**2 differs from exp(-z/2) by a
+        # few ulps; the closed forms cancel about three digits just above
+        # the switch to the series (measured 1.3e-12 at z = 0.2, where the
+        # exp form itself is about 5e-13 from the exact weights), and
+        # nowhere else lose more than 1e-14
+        dt = 0.5
+        m = self.Z / (2.0 * dt)
+        e_full = np.exp(m * (-0.5 * dt)) ** 2
+        near_switch = (self.Z >= _Z_SERIES) & (self.Z < 0.25)
+        for got, ref in zip(_ledger_weights(2.0 * dt * m, e_full), exp_form_weights(self.Z)):
+            np.testing.assert_allclose(got[near_switch], ref[near_switch], rtol=3e-12, atol=0.0)
+            np.testing.assert_allclose(got[~near_switch], ref[~near_switch], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("shrink", ["exp", "e_full"])
+    def test_exact_on_free_decay(self, shrink):
+        # P0 + P1*exp(-z/2) + P2*exp(-z) = (1 - exp(-z))/2; measured at most
+        # 1.0e-13 relative, at z = 0.2, with either shrink
+        z = np.concatenate([self.Z, np.linspace(0.0, 8.0, 801)])
+        given = np.exp(-0.5 * z) if shrink == "exp" else np.exp(-0.25 * z) ** 2
+        p0, p1, p2 = _ledger_weights(z, given)
+        decay = np.exp(-0.5 * z)
+        np.testing.assert_allclose(p0 + p1 * decay + p2 * decay * decay,
+                                   -0.5 * np.expm1(-z), rtol=1e-12, atol=0.0)
 
 
 class TestCfl:

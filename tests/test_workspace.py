@@ -88,9 +88,12 @@ class TestAllocationBudget:
         # inverse transform's output, the forward transform's half lattice
         # and the returned band array together (the rest is under 1 kB of
         # small objects): the half lattice the inverse fills is freed
-        # before the forward transform allocates its own.  The same 1.002
-        # when the inverse padded a block of the band's columns, 1.41 when
-        # the flux power also allocated per call.  Margin 25%.
+        # before the forward transform allocates its own, and the power
+        # and the two band multiplies are taken in place.  The same 1.002
+        # when the real field was scaled in its own pass and the scalar
+        # built on a copy of band.ixi, and when the inverse padded a block
+        # of the band's columns; 1.41 when the flux power also allocated
+        # per call.  Margin 25%.
         s = gaussian_state(grid, kappa=kappa)
         band = band_layout(grid, s.flux.dealias_denom)
         c = band.gather(s.u_hat.coeffs)
@@ -102,11 +105,13 @@ class TestAllocationBudget:
     @pytest.mark.parametrize("kappa", [1, 2])
     def test_flux_step_peak_is_six_band_arrays_and_the_fft_outputs(self, grid, kappa):
         # measured at 128^2 (numpy 2.4): one real field and one half
-        # lattice, the transform outputs of a right-hand side, and 6.04
-        # (kappa = 1) and 6.06 (kappa = 2) band arrays.  Inside the third
+        # lattice, the transform outputs of a right-hand side, and 6.29
+        # (kappa = 1) and 6.32 (kappa = 2) band arrays.  Inside the third
         # RHS the step holds e_full*c, e_full*k1, k2 and the stage, its
-        # real e_half and the ledger's two folded sums (half a band array
-        # between them), and the RHS its result.  8.05 and 7.83 band arrays
+        # real e_half, the ledger's two folded sums and the folded rows of
+        # e_full that its weights take (three quarters of a band array
+        # between them), and the RHS its result.  6.04 and 6.06 when the
+        # weights took their own exp at the end of the step; 8.05 and 7.83
         # when the stages and the RK4 combination were built from
         # per-operation temporaries.  Margin 25% of the band arrays.
         s = gaussian_state(grid, kappa=kappa)
