@@ -164,9 +164,6 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
         # one band exp: exp(-dt*m) is the square of exp(-dt*m/2)
         e_half = np.exp(np.multiply(m, -0.5 * dt, out=m), out=m)
         e_full = np.square(e_half)
-        # exp(-dt*m) on the folded rows j >= 0, the band's first n_folded
-        # rows: the ledger weights' exp(-z/2) for z = 2*m*dt
-        shrink = e_full[: band.n_folded].copy()
         start = band.folded_abs2(c)
         # Each k is dt times the right-hand side -N.  The stages e_half*(c
         # + k1/2), e_half*c + k2/2 and e_full*c + e_half*k3, and new =
@@ -174,9 +171,10 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
         # place with the same operations up to commuted operands, so they
         # round as those expressions do.  Each array is folded into its
         # next use as soon as that is known: c and k1 become e_full*c and
-        # e_full*k1 before the third RHS, and only they and the stage
-        # outlive the last.  Each stage enters the ledger once its RHS is
-        # known.
+        # e_full*k1 before the third RHS, and only they, the stage and
+        # e_half outlive the last.  2*e_half*(k2 + k3) is taken as
+        # ((k2 + k3)*e_half)*2, the same bits, since doubling is exact.
+        # Each stage enters the ledger once its RHS is known.
         u = s.physical.values if held else None
         k1 = nonlinear_coeffs(grid, c, s.flux, u, -dt)
         stage = np.multiply(k1, 0.5)
@@ -195,10 +193,10 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
         np.multiply(e_half, k3, out=stage)
         stage += c
         k2 += k3
-        e_half *= 2.0
         k2 *= e_half
+        k2 *= 2.0
         new += k2
-        del k2, k3, e_half
+        del k2, k3
         k4 = nonlinear_coeffs(grid, stage, s.flux, scale=-dt)
         end = band.folded_abs2(stage)
         del stage
@@ -207,7 +205,12 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
         # its reciprocal, so this has the bits of /6 at a tenth of the cost
         new *= 1.0 / 6.0
         new += c
-        p0, p1, p2 = _ledger_weights(2.0 * dt * m_kept, shrink)
+        # the ledger weights' exp(-z/2), z = 2*m*dt, is exp(-dt*m): e_full on
+        # the folded rows j >= 0, the band's first n_folded rows, squared
+        # again from e_half there in place, once no stage needs it
+        folded = e_half[: band.n_folded]
+        p0, p1, p2 = _ledger_weights(2.0 * dt * m_kept, np.square(folded, out=folded))
+        del e_half, folded
         # p0*start + p1*(0.5*mid) + p2*end
         dissipated = np.multiply(start, p0, out=start)
         mid *= 0.5

@@ -105,15 +105,17 @@ class TestAllocationBudget:
     @pytest.mark.parametrize("kappa", [1, 2])
     def test_flux_step_peak_is_six_band_arrays_and_the_fft_outputs(self, grid, kappa):
         # measured at 128^2 (numpy 2.4): one real field and one half
-        # lattice, the transform outputs of a right-hand side, and 6.29
-        # (kappa = 1) and 6.32 (kappa = 2) band arrays.  Inside the third
+        # lattice, the transform outputs of a right-hand side, and 6.04
+        # (kappa = 1) and 6.06 (kappa = 2) band arrays.  Inside the third
         # RHS the step holds e_full*c, e_full*k1, k2 and the stage, its
-        # real e_half, the ledger's two folded sums and the folded rows of
-        # e_full that its weights take (three quarters of a band array
-        # between them), and the RHS its result.  6.04 and 6.06 when the
-        # weights took their own exp at the end of the step; 8.05 and 7.83
-        # when the stages and the RK4 combination were built from
-        # per-operation temporaries.  Margin 25% of the band arrays.
+        # real e_half and the ledger's two folded sums (half a band array
+        # between them), and the RHS its result; the ledger weights take
+        # exp(-dt*m) from e_half's folded rows, squared in place after the
+        # last RHS.  6.29 and 6.32 when those rows of e_full were copied
+        # before the stages, the same 6.04 and 6.06 when the weights took
+        # their own exp; 8.05 and 7.83 when the stages and the RK4
+        # combination were built from per-operation temporaries.  Margin
+        # 25% of the band arrays.
         s = gaussian_state(grid, kappa=kappa)
         band = band_layout(grid, s.flux.dealias_denom)
         band_bytes = band.gather(s.u_hat.coeffs).nbytes
