@@ -210,7 +210,6 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
         # again from e_half there in place, once no stage needs it
         folded = e_half[: band.n_folded]
         p0, p1, p2 = _ledger_weights(2.0 * dt * m_kept, np.square(folded, out=folded))
-        del e_half, folded
         # p0*start + p1*(0.5*mid) + p2*end
         dissipated = np.multiply(start, p0, out=start)
         mid *= 0.5
