@@ -91,8 +91,8 @@ class SimState:
         """The real samples of u_hat, built on first use and kept, read-only.
 
         A state held by its flux band (_band_held) builds them from the band,
-        band.to_physical(band.gather(u_hat)) times 1/(lx*ly) in one pass, the
-        field the flux itself builds from a band array; this agrees with
+        band.to_physical(band.gather(u_hat)) times 1/(lx*ly) in one pass,
+        which stage 1 of the next flux step powers; this agrees with
         inverse_transform(u_hat), which scales by 1/(nx*ny) and 1/cell_area
         in turn, to rounding.  Every other state, flux-free ones and states
         read from a checkpoint among them, takes inverse_transform(u_hat).
@@ -133,8 +133,7 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
     Stage 1 takes the flux of the state's own field (SimState.physical)
     when u_hat is exactly zero outside the band, as every state from
     run.initial_state and from this function is, and of the scattered band
-    otherwise; the state's field is then built from the band, as the flux
-    would build it.  A nonfinite
+    otherwise; the state's field is then built from the band.  A nonfinite
     value in the input state, or in the result or ledger after the four
     stages, raises BlowUpError carrying the time the step was aiming for;
     an overflow inside a stage reaches the result, as an inf or NaN in the
