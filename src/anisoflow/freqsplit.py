@@ -4,7 +4,8 @@ The cutoff symbol is chi = chi0(mu^-1 * (1+t) * m(xi)), with uL = chi*u and
 uH = (1 - chi)*u: its support shrinks toward the origin as t grows, so uL
 captures the algebraically decaying low-frequency core and uH the
 exponentially suppressed remainder.  norms.record takes both L^2 norms by
-Parseval from the weights chi^2 and (1 - chi)^2; neither part is built.
+Parseval from the weights chi^2 and (1 - chi)^2, which it builds one block
+of rows at a time (CutoffSpec.symbol's rows); neither part is built.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .operators import DissipationSpec
 
 
-def chi0(s, out=None):
+def chi0(s):
     """C-infinity bump profile: 1 on [0, 1], 0 on [2, inf), bridged between.
 
     The bridge is the standard partition-of-unity quotient
@@ -24,8 +25,7 @@ def chi0(s, out=None):
     so endpoint values are exact and all derivatives vanish there.
     Accepts scalars or arrays; monotonically nonincreasing.  Only the
     bridge 1 < s < 2 needs phi: both its arguments are positive there, and
-    the quotient is exactly 1 or 0 off it.  The result is fresh, or written
-    into out, a float array of the shape of s that may be s itself.
+    the quotient is exactly 1 or 0 off it.  The result is a fresh array.
     """
     s_arr = np.asarray(s, dtype=np.float64)
     if np.any(s_arr < 0.0):
@@ -40,12 +40,8 @@ def chi0(s, out=None):
     for x in (a, b):
         np.exp(np.divide(-1.0, x, out=x), out=x)
     b += a
-    beyond = s_arr >= 2.0
-    # s is read in full before out, which may be s, is written
-    if out is None:
-        out = np.empty_like(s_arr)
-    out[...] = 1.0
-    out[beyond] = 0.0
+    out = np.ones_like(s_arr)
+    out[s_arr >= 2.0] = 0.0
     out[bridge] = np.divide(a, b, out=a)
     if np.ndim(s) == 0:
         return float(out)
@@ -71,9 +67,7 @@ class CutoffSpec:
         if not (self.mu > 0.0 and np.isfinite(self.mu)):
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
-    def symbol(self, t: float, d: DissipationSpec, out: np.ndarray | None = None) -> np.ndarray:
-        """Cutoff multiplier chi0(mu^-1*(1+t)*m) over the lattice, fresh or
-        into out; built in place over its own argument array."""
-        arg = np.multiply((1.0 + t) / self.mu, d.symbol, out=out)
-        return chi0(arg, out=arg)
-
+    def symbol(self, t: float, d: DissipationSpec, rows=slice(None)) -> np.ndarray:
+        """Cutoff multiplier chi0(mu^-1*(1+t)*m) over the given rows of the
+        half lattice, all of them by default; a fresh array."""
+        return chi0(np.multiply((1.0 + t) / self.mu, d.symbol[rows]))

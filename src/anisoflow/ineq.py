@@ -149,7 +149,8 @@ _SUMS = ("lhs", "big_x", "small_x", "big_y", "small_y", "grad_g", "h2", "l2")
 
 
 def _sum_weight(name: str, gamma: int, d: DissipationSpec):
-    """Fourier weight |xi|^p * |xi_axis|^q of a named Parseval sum."""
+    """Fourier weight |xi|^p * |xi_axis|^q of a named Parseval sum, in
+    fourier_weight's shapes: a directional one is not spread over the lattice."""
     p, q, axis = {
         "lhs": (2.0 * gamma, 2.0 - d.alpha1, "x"),
         "big_x": (2.0 * gamma, d.alpha1, "x"),
@@ -161,14 +162,6 @@ def _sum_weight(name: str, gamma: int, d: DissipationSpec):
         "l2": (0.0, 0.0, None),
     }[name]
     return fourier_weight(d.grid, p) * fourier_weight(d.grid, q, axis)
-
-
-def _weights(gamma: int, d: DissipationSpec) -> tuple[np.ndarray, ...]:
-    """The weights of _SUMS spread over the half lattice: parseval_sums
-    copies a broadcast weight into its workspace on every call, a full one
-    it reads as it is."""
-    half = (d.grid.nx, d.grid.ny // 2 + 1)
-    return tuple(np.broadcast_to(_sum_weight(name, gamma, d), half).copy() for name in _SUMS)
 
 
 def _lemma53(s, e):
@@ -229,7 +222,7 @@ def corpus_report(
         row = None if memo is None else memo.get((gamma, d))
         if row is None:
             if weights is None:
-                weights = _weights(gamma, d)
+                weights = [_sum_weight(name, gamma, d) for name in _SUMS]
             row = (*parseval_sums(forward_transform(u), weights), lp_norms(u, (np.inf,))[0])
             if memo is not None:
                 memo[gamma, d] = row

@@ -113,9 +113,9 @@ def run_simulation(cfg: RunConfig) -> tuple[list[NormSample], SimState]:
     Each sample state's field is built on the calling thread, which then
     hands the state to one background sampler thread that runs record
     while the caller steps the next interval.  At most one sample is in
-    flight, and the series is assembled in sample order.  The sampler
-    takes the norms' scratch arrays under their lock; the stepping shares
-    no array with it and takes no lock, so neither waits on the other.
+    flight, and the series is assembled in sample order.  record keeps
+    nothing between calls and the stepping shares no array with it;
+    neither takes a lock, so neither waits on the other.
 
     Deterministic for a given config: the series, the final state and the
     files are the bits a serial advance_to + record loop gives, and so are

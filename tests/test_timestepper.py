@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -409,9 +410,9 @@ def exp_form_weights(z):
 
 
 class TestLedgerWeights:
-    # both sides of the series switch (0.2) and of the bounded rule (6),
+    # both sides of the series switch (0.5) and of the bounded rule (6),
     # and stiff modes whose exp(-z/2) is tiny
-    Z = np.array([0.0, 0.19, 0.2, 0.21, 1.0, 5.99, 6.0, 6.01, 40.0, 1e3])
+    Z = np.array([0.0, 0.19, 0.2, 0.49, 0.5, 0.51, 1.0, 5.99, 6.0, 6.01, 40.0, 1e3])
 
     def test_given_exp_matches_the_exp_form(self):
         for got, ref in zip(_ledger_weights(self.Z, np.exp(-0.5 * self.Z)),
@@ -420,28 +421,50 @@ class TestLedgerWeights:
 
     def test_given_e_full_matches_the_exp_form(self):
         # the step's e_full = exp(-dt*m/2)**2 differs from exp(-z/2) by a
-        # few ulps; the closed forms cancel about three digits just above
-        # the switch to the series (measured 1.3e-12 at z = 0.2, where the
-        # exp form itself is about 5e-13 from the exact weights), and
-        # nowhere else lose more than 1e-14
+        # few ulps; the closed forms cancel about two digits just above
+        # the switch to the series (measured 8.7e-14 at z = 0.5 and 4.1e-14
+        # at 0.51; 1.3e-12 at z = 0.2 when the switch sat there), and
+        # nowhere else lose more than 1e-14.  Margin 2.3x
         dt = 0.5
         m = self.Z / (2.0 * dt)
         e_full = np.exp(m * (-0.5 * dt)) ** 2
-        near_switch = (self.Z >= _Z_SERIES) & (self.Z < 0.25)
+        near_switch = (self.Z >= _Z_SERIES) & (self.Z < _Z_SERIES + 0.05)
         for got, ref in zip(_ledger_weights(2.0 * dt * m, e_full), exp_form_weights(self.Z)):
-            np.testing.assert_allclose(got[near_switch], ref[near_switch], rtol=3e-12, atol=0.0)
+            np.testing.assert_allclose(got[near_switch], ref[near_switch], rtol=2e-13, atol=0.0)
             np.testing.assert_allclose(got[~near_switch], ref[~near_switch], rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("shrink", ["exp", "e_full"])
     def test_exact_on_free_decay(self, shrink):
         # P0 + P1*exp(-z/2) + P2*exp(-z) = (1 - exp(-z))/2; measured at most
-        # 1.0e-13 relative, at z = 0.2, with either shrink
+        # 1.2e-14 relative, at z = 0.61, with either shrink (1.0e-13 at
+        # z = 0.2 when the series switch sat there)
         z = np.concatenate([self.Z, np.linspace(0.0, 8.0, 801)])
         given = np.exp(-0.5 * z) if shrink == "exp" else np.exp(-0.25 * z) ** 2
         p0, p1, p2 = _ledger_weights(z, given)
         decay = np.exp(-0.5 * z)
         np.testing.assert_allclose(p0 + p1 * decay + p2 * decay * decay,
                                    -0.5 * np.expm1(-z), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("shrink", ["exp", "e_full"])
+    def test_near_the_exact_weights_on_both_sides_of_the_switch(self, shrink):
+        # the closed forms of the weights, evaluated in 60-digit decimal
+        # arithmetic at the float z.  Measured at most 5.7e-14 relative (the
+        # closed forms at z = 0.5; the series is within 8.4e-16 at z = 0.4);
+        # 8.0e-13 with the switch at z = 0.2.  Margin 1.75x
+        z = np.array([0.19, 0.2, 0.3, 0.4, 0.5, 1.0])
+        given = np.exp(-0.5 * z) if shrink == "exp" else np.exp(-0.25 * z) ** 2
+        exact = []
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for zf in z:
+                x = Decimal(float(zf))
+                grow, denom = (x / 2).exp(), 2 * x * x
+                exact.append([float(p / denom) for p in (
+                    x * x + 4 - 3 * x - (x + 4) / grow ** 2,
+                    4 * ((x - 2) * grow + (x + 2) / grow),
+                    (4 - x) * grow ** 2 - (x * x + 4) - 3 * x)])
+        for got, ref in zip(_ledger_weights(z, given), np.array(exact).T):
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
 
 class TestCfl:
