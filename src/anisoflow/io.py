@@ -91,7 +91,8 @@ def checkpoint_write(s: SimState, path: str) -> None:
 
 
 def checkpoint_read(path: str) -> SimState:
-    """Load a checkpoint; the spectral state is recomputed from the field.
+    """Load a checkpoint; the spectral state is recomputed from the field,
+    and a flux state's is truncated to its band on construction (SimState).
     Contents that the state's types reject, a nonfinite payload included
     (forward_transform), raise CheckpointError, as a bad header does."""
     size = os.path.getsize(path)

@@ -79,9 +79,10 @@ def nonlinear_coeffs(grid: GridSpec, coeffs: np.ndarray, flux: FluxSpec,
     nonfinite, so the result carries it to the caller, which checks it.
 
     u, when given, is the real field of the scattered band with its
-    1/(lx*ly) already applied (the state's own field, SimState.physical);
-    its inverse transform is then skipped, the scalar omits that factor,
-    and the power is taken into a fresh array, leaving u unchanged.
+    1/(lx*ly) already applied: a flux state's own field (SimState.physical),
+    which SimState builds from the band, as stage 1 of step_ifrk4 passes
+    it.  Its inverse transform is then skipped, the scalar omits that
+    factor, and the power is taken into a fresh array, leaving u unchanged.
     """
     band = band_layout(grid, flux.dealias_denom)
     power = flux.kappa + 1

@@ -13,7 +13,7 @@ from .freqsplit import CutoffSpec
 from .io import checkpoint_write, write_timeseries
 from .norms import NormSample, record
 from .operators import DissipationSpec, FluxSpec
-from .spectral import GridSpec, PhysicalField, band_layout, forward_transform
+from .spectral import GridSpec, PhysicalField, forward_transform
 from .timestepper import SimState, cfl_dt, step_ifrk4
 
 _SNAP_TOL = 1e-9
@@ -58,17 +58,14 @@ def synthesize_ic(cfg: RunConfig, grid: GridSpec) -> PhysicalField:
 def initial_state(cfg: RunConfig) -> SimState:
     """The configured initial data at t=0.
 
-    With the flux on, the spectrum is truncated to the alias-free band that
-    step_ifrk4 keeps, so the t=0 sample describes the field the solver
-    evolves and the first step drops no energy outside the ledger.
+    With the flux on, SimState truncates the spectrum to the alias-free
+    band that step_ifrk4 keeps, so the t=0 sample describes the field the
+    solver evolves and the first step drops no energy outside the ledger.
     """
     grid = GridSpec(cfg.nx, cfg.ny, cfg.lx, cfg.ly)
     dissipation = DissipationSpec(grid, cfg.alpha1, cfg.alpha2)
     flux = FluxSpec(cfg.kappa) if cfg.nonlinearity_enabled else None
     u_hat = forward_transform(synthesize_ic(cfg, grid))
-    if flux is not None:
-        band = band_layout(grid, flux.dealias_denom)
-        u_hat = replace(u_hat, coeffs=band.scatter(band.gather(u_hat.coeffs)))
     return SimState(t=0.0, u_hat=u_hat, dissipation=dissipation, flux=flux)
 
 

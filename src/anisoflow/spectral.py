@@ -30,10 +30,11 @@ go through it.
 Every transform runs on numpy.fft's pocketfft, single-threaded, and gives
 the bits of scipy.fft's rfft2 and irfft2 (inverse_transform scales once by
 1/(nx*ny), not once per axis; the band's inverse, to_physical, is left
-unscaled for its caller); the tests hold it to that.  A flux state held by
-its band builds its field with to_physical and one scaling by 1/(lx*ly)
-(SimState.physical), which agrees with inverse_transform to rounding, and
-the flux folds that scaling into the scalar of its result.
+unscaled for its caller); the tests hold it to that.  A flux state, which
+SimState keeps on its band, builds its field with to_physical and one
+scaling by 1/(lx*ly) (SimState.physical), which agrees with
+inverse_transform to rounding, and the flux folds that scaling into the
+scalar of its result.
 """
 
 from __future__ import annotations

@@ -46,11 +46,16 @@ class SimState:
     lattice, accumulated by step_ifrk4 since the state was built, so that
     0.5*||u||^2 + ledger stays constant along exact solutions.
 
+    With the flux on, u_hat is exactly zero outside the flux's alias-free
+    band (band_layout(grid, flux.dealias_denom)), the spectrum the solver
+    evolves.  Construction replaces a spectrum that the band does not hold
+    (BandLayout.holds) by its truncation, after checking that it is finite,
+    and raises ValueError on a NaN or inf; a held spectrum, as every state
+    from step_ifrk4 has, is kept as the same object.
+
     The real samples of u_hat are built once per state (physical) and
     shared by everything that reads them: the CFL bound, stage 1 of the
-    next flux step, record and checkpoint_write.  Whether u_hat is held by
-    the flux's alias-free band is also found once per state (_band_held),
-    and both the field and the step read it.
+    next flux step, record and checkpoint_write.
     """
 
     t: float
@@ -58,10 +63,9 @@ class SimState:
     dissipation: DissipationSpec
     flux: FluxSpec | None
     ledger: float = 0.0
-    # (u_hat, whether its band holds it, its real samples or None until
-    # physical builds them); replace() carries the triple, which is reused
-    # only while u_hat is that object
-    _derived: tuple[SpectralField, bool, PhysicalField | None] | None = field(
+    # (u_hat, its real samples) once physical has built them; replace()
+    # carries the pair, which is reused only while u_hat is that object
+    _physical: tuple[SpectralField, PhysicalField] | None = field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -71,47 +75,45 @@ class SimState:
             raise ValueError(f"ledger must be finite and >= 0, got {self.ledger}")
         if self.u_hat.grid != self.dissipation.grid:
             raise ValueError("state and dissipation symbol live on different grids")
+        if self.flux is not None:
+            band = band_layout(self.grid, self.flux.dealias_denom)
+            coeffs = self.u_hat.coeffs
+            # holds reads a NaN as nonzero, so every NaN outside the band
+            # reaches the finiteness check
+            if not band.holds(coeffs):
+                if not np.all(np.isfinite(coeffs)):
+                    raise ValueError("flux state spectrum contains nonfinite values")
+                object.__setattr__(self, "u_hat", SpectralField(
+                    self.grid, band.scatter(band.gather(coeffs))))
 
     @property
     def grid(self) -> GridSpec:
         return self.u_hat.grid
 
-    def _band_held(self) -> bool:
-        """Whether the flux is on and u_hat is exactly zero outside its
-        alias-free band (BandLayout.holds), as every state from
-        run.initial_state and step_ifrk4 is; found once per u_hat."""
-        kept = self._derived
-        if kept is None or kept[0] is not self.u_hat:
-            held = self.flux is not None and band_layout(
-                self.grid, self.flux.dealias_denom).holds(self.u_hat.coeffs)
-            kept = (self.u_hat, held, None)
-            object.__setattr__(self, "_derived", kept)
-        return kept[1]
-
     @property
     def physical(self) -> PhysicalField:
         """The real samples of u_hat, built on first use and kept, read-only.
 
-        A state held by its flux band (_band_held) builds them from the band,
-        band.to_physical(band.gather(u_hat)) times 1/(lx*ly) in one pass,
-        which stage 1 of the next flux step powers; this agrees with
-        inverse_transform(u_hat), which scales by 1/(nx*ny) and 1/cell_area
-        in turn, to rounding.  Every other state, flux-free ones and states
-        read from a checkpoint among them, takes inverse_transform(u_hat).
+        A flux state builds them from its band, band.to_physical(band.gather(
+        u_hat)) times 1/(lx*ly) in one pass, the field the flux itself builds
+        from a band array, which stage 1 of the next flux step powers; this
+        agrees with inverse_transform(u_hat), which scales by 1/(nx*ny) and
+        1/cell_area in turn, to rounding.  A flux-free state takes
+        inverse_transform(u_hat).
         """
-        held = self._band_held()
-        u = self._derived[2]
-        if u is None:
-            if held:
+        kept = self._physical
+        if kept is None or kept[0] is not self.u_hat:
+            if self.flux is None:
+                u = inverse_transform(self.u_hat)
+            else:
                 band = band_layout(self.grid, self.flux.dealias_denom)
                 values = band.to_physical(band.gather(self.u_hat.coeffs))
                 values *= 1.0 / self.grid.area()
                 u = PhysicalField(self.grid, values)
-            else:
-                u = inverse_transform(self.u_hat)
             u.values.flags.writeable = False
-            object.__setattr__(self, "_derived", (self.u_hat, held, u))
-        return u
+            kept = (self.u_hat, u)
+            object.__setattr__(self, "_physical", kept)
+        return kept[1]
 
 
 def linear_exact(u0_hat: SpectralField, d: DissipationSpec, t: float) -> SpectralField:
@@ -131,13 +133,11 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
     Exact on the linear part for any dt.  With the flux enabled the step
     works on the alias-free band only (band_layout): the state and the
     symbol are gathered onto it once, every stage lives there, and the
-    result is scattered back with everything outside the band zeroed.
-    Stage 1 takes the flux of the state's own field (SimState.physical)
-    when u_hat is exactly zero outside the band, as every state from
-    run.initial_state and from this function is, and of the scattered band
-    otherwise; the state's field is then built from the band.  A nonfinite
-    value in the input state, or in the result or ledger after the four
-    stages, raises BlowUpError carrying the time the step was aiming for;
+    result is scattered back with everything outside the band zeroed, as
+    SimState keeps every flux state.  Stage 1 takes the flux of the state's
+    own field (SimState.physical), built from the band.  A nonfinite value
+    in the input state, or in the result or ledger after the four stages,
+    raises BlowUpError carrying the time the step was aiming for;
     an overflow inside a stage reaches the result, as an inf or NaN in the
     flux makes every mode of its transform nonfinite.  The step's
     dissipation integral, over the retained band, is added to the ledger
@@ -155,11 +155,10 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
         # exact for the free decay: 0.5*|c|^2*(1 - exp(-2*m*dt)) per mode
         dissipated = -0.5 * np.expm1(-2.0 * dt * m_kept) * band.folded_abs2(s.u_hat.coeffs)
     else:
-        held = s._band_held()
         c = band.gather(s.u_hat.coeffs)
-        # the step never reads outside the band, so only this sees a NaN
-        # there; a held state has none, as holds reads a NaN as nonzero
-        if not np.all(np.isfinite(c if held else s.u_hat.coeffs)):
+        # a flux state is zero outside the band (SimState), so a NaN or inf
+        # can only sit in c
+        if not np.all(np.isfinite(c)):
             raise BlowUpError(s.t + dt, f"nonfinite state entering step to t={s.t + dt:.6g}")
         m = band.gather(s.dissipation.symbol)
         # one band exp: exp(-dt*m) is the square of exp(-dt*m/2)
@@ -176,8 +175,7 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
         # e_half outlive the last.  2*e_half*(k2 + k3) is taken as
         # ((k2 + k3)*e_half)*2, the same bits, since doubling is exact.
         # Each stage enters the ledger once its RHS is known.
-        u = s.physical.values if held else None
-        k1 = nonlinear_coeffs(grid, c, s.flux, u, -dt)
+        k1 = nonlinear_coeffs(grid, c, s.flux, s.physical.values, -dt)
         stage = np.multiply(k1, 0.5)
         stage += c
         stage *= e_half

@@ -17,7 +17,7 @@ from anisoflow import (
     run_simulation,
     sample_times,
 )
-from anisoflow.io import checkpoint_read, checkpoint_write, write_timeseries
+from anisoflow.io import checkpoint_write, write_timeseries
 from anisoflow.errors import BlowUpError
 from anisoflow.run import advance_to
 from anisoflow.spectral import inverse_transform
@@ -176,19 +176,8 @@ class TestPhysicalField:
         with pytest.raises(ValueError):
             u.values[0, 0] = 1.0
 
-    @pytest.mark.parametrize("source", ["checkpoint", "flux-free", "outside the band"])
-    def test_a_state_not_held_by_the_band_keeps_the_inverse_transform(self, tmp_path, source):
-        s = initial_state(small_config(tmp_path, nonlinearity_enabled=source != "flux-free"))
-        if source == "checkpoint":
-            # the reloaded spectrum is the forward transform of the field,
-            # nonzero outside the band
-            checkpoint_write(s, str(tmp_path / "s.ckpt"))
-            s = checkpoint_read(str(tmp_path / "s.ckpt"))
-            assert s.flux is not None
-        elif source == "outside the band":
-            coeffs = s.u_hat.coeffs.copy()
-            coeffs[s.grid.nx // 2, 1] = 1e-3
-            s = replace(s, u_hat=replace(s.u_hat, coeffs=coeffs))
+    def test_a_flux_free_state_takes_the_inverse_transform(self, tmp_path):
+        s = initial_state(small_config(tmp_path, nonlinearity_enabled=False))
         np.testing.assert_array_equal(s.physical.values, inverse_transform(s.u_hat).values)
 
     def test_rebuilt_for_a_new_spectrum(self, tmp_path):

@@ -196,11 +196,11 @@ def full_lattice_step(s: SimState, dt: float) -> tuple[np.ndarray, float]:
     flux input and output and the result are masked to the alias-free band,
     and the ledger folds the band rows of the full stage arrays.  It takes
     the step's scalings: stage 1 reads the state's own field, the unscaled
-    inverse times 1/(lx*ly), when the state holds only band modes, and each
-    k is then -dt*cell_area/(kappa+1) times i*(xi1+xi2) times the transform
-    of the power; every other stage powers the unscaled inverse and folds
-    its 1/(lx*ly)^(kappa+1) into that scalar.  e_full is e_half**2 and
-    gives the ledger weights their exp(-dt*m)."""
+    inverse times 1/(lx*ly), and its k is -dt*cell_area/(kappa+1) times
+    i*(xi1+xi2) times the transform of the power; every other stage powers
+    the unscaled inverse and folds its 1/(lx*ly)^(kappa+1) into that
+    scalar.  e_full is e_half**2 and gives the ledger weights their
+    exp(-dt*m)."""
     grid, flux = s.grid, s.flux
     keep = keep_mask(grid, flux.dealias_denom)
     xi1, xi2 = grid.mesh_xi()
@@ -230,9 +230,8 @@ def full_lattice_step(s: SimState, dt: float) -> tuple[np.ndarray, float]:
         out[1: n_neg + 1] += a2[: -n_neg - 1: -1, :ncols]
         return out
 
-    holds = np.all(np.where(keep, 0.0, c) == 0.0)
     u1 = scipy.fft.irfft2(c, s=(grid.nx, grid.ny), norm="forward") * (1.0 / grid.area())
-    k1 = k(c, u1 if holds else None)
+    k1 = k(c, u1)
     stage = e_half * (c + 0.5 * k1)
     k2 = k(stage)
     mid = folded_abs2(stage)
@@ -255,15 +254,11 @@ class TestBandStep:
 
     @pytest.mark.parametrize("shape", [(32, 32), (48, 32)])
     @pytest.mark.parametrize("kappa", [1, 2])
-    @pytest.mark.parametrize("band", [True, False])
-    def test_bit_identical_to_full_lattice_step(self, shape, kappa, band):
-        # band=False leaves energy outside the band, which the step drops
+    def test_bit_identical_to_full_lattice_step(self, shape, kappa):
         grid = make_grid(*shape, TWO_PI, 1.5 * TWO_PI)
-        s = make_state(grid, alpha1=1.5, alpha2=2.0, flux_kappa=kappa, seed=kappa, band=band)
+        s = make_state(grid, alpha1=1.5, alpha2=2.0, flux_kappa=kappa, seed=kappa)
         s = replace(s, t=0.25, ledger=0.125)
         outside = ~keep_mask(grid, s.flux.dealias_denom)
-        if not band:
-            assert np.max(np.abs(s.u_hat.coeffs[outside])) > 0.1 * np.max(np.abs(s.u_hat.coeffs))
         for dt in (0.01, 0.05):
             new, ledger = full_lattice_step(s, dt)
             out = step_ifrk4(s, dt)
@@ -271,6 +266,25 @@ class TestBandStep:
             assert out.ledger == ledger
             assert np.all(out.u_hat.coeffs[outside] == 0.0)
             s = out
+
+    @pytest.mark.parametrize("kappa", [1, 2])
+    def test_construction_keeps_a_flux_state_on_its_band(self, grid32, kappa):
+        d = DissipationSpec(grid32, 1.5, 2.0)
+        flux = FluxSpec(kappa)
+        keep = keep_mask(grid32, flux.dealias_denom)
+        full = forward_transform(random_field(grid32, kappa))
+        assert np.max(np.abs(full.coeffs[~keep])) > 0.1 * np.max(np.abs(full.coeffs))
+        s = SimState(0.0, full, d, flux)
+        assert np.all(s.u_hat.coeffs[~keep] == 0.0)
+        assert np.array_equal(s.u_hat.coeffs[keep], full.coeffs[keep])
+        # truncation would drop a NaN outside the band unseen
+        bad = full.coeffs.copy()
+        bad[tuple(np.argwhere(~keep)[-1])] = np.nan
+        with pytest.raises(ValueError, match="nonfinite"):
+            SimState(0.0, SpectralField(grid32, bad), d, flux)
+        # a held spectrum and a flux-free one are kept as they are
+        assert SimState(1.0, s.u_hat, d, flux).u_hat is s.u_hat
+        assert SimState(0.0, full, d, None).u_hat is full
 
     def test_nan_inside_band_raises_with_target_time(self, grid32):
         s = make_state(grid32)
@@ -281,16 +295,14 @@ class TestBandStep:
             step_ifrk4(s, 0.25)
         assert err.value.time == 1.75
 
-    def test_nan_outside_band_raises_with_target_time(self, grid32):
-        # the step reads only the band, so this mode would be dropped unseen
+    def test_nan_outside_band_raises_on_construction(self, grid32):
+        # truncation would drop this mode unseen, so the state rejects it
         s = make_state(grid32)
         coeffs = s.u_hat.coeffs.copy()
         coeffs[15, 3] = np.nan  # j = 15: outside the kappa=1 band |j| < 32/3
         assert not keep_mask(grid32, s.flux.dealias_denom)[15, 3]
-        s = replace(s, t=1.5, u_hat=SpectralField(grid32, coeffs))
-        with pytest.raises(BlowUpError) as err:
-            step_ifrk4(s, 0.25)
-        assert err.value.time == 1.75
+        with pytest.raises(ValueError, match="nonfinite"):
+            replace(s, t=1.5, u_hat=SpectralField(grid32, coeffs))
 
 
 class TestEnergyLedger:
