@@ -281,10 +281,15 @@ class BandLayout:
         return out
 
     def scatter(self, b: np.ndarray) -> np.ndarray:
-        """Band array -> fresh half-lattice array, zero outside the band."""
-        out = np.zeros((self.grid.nx, self.grid.ny // 2 + 1), dtype=b.dtype)
+        """Band array -> fresh half-lattice array, zero outside the band.
+        Each entry is written once, in row order."""
+        tail = self.grid.nx - self.n_neg
+        out = np.empty((self.grid.nx, self.grid.ny // 2 + 1), dtype=b.dtype)
         out[: self.n_pos, : self.ncols] = b[: self.n_pos]
-        out[self.grid.nx - self.n_neg:, : self.ncols] = b[self.n_pos:]
+        out[: self.n_pos, self.ncols:] = 0.0
+        out[self.n_pos: tail] = 0.0
+        out[tail:, : self.ncols] = b[self.n_pos:]
+        out[tail:, self.ncols:] = 0.0
         return out
 
     def to_physical(self, b: np.ndarray) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 The linear flow exp(-t*m(xi)) is applied exactly each step, so only the
 nonlinear flux limits the step size and the linear semigroup doubles as
-an oracle for the stepper.
+an oracle for the stepper.  The step's factors that depend only on the
+symbol and dt (the exponentials and the ledger weights) are kept for the
+last (dissipation, dt) stepped, read-only, so a run whose steps share one
+dt builds them once; nothing else is kept between steps.
 """
 
 from __future__ import annotations
@@ -130,40 +133,39 @@ def linear_exact(u0_hat: SpectralField, d: DissipationSpec, t: float) -> Spectra
 def step_ifrk4(s: SimState, dt: float) -> SimState:
     """Advance one step of classical RK4 on the integrating-factor variable.
 
-    Exact on the linear part for any dt.  With the flux enabled the step
-    works on the alias-free band only (band_layout): the state and the
-    symbol are gathered onto it once, every stage lives there, and the
-    result is scattered back with everything outside the band zeroed, as
-    SimState keeps every flux state.  Stage 1 takes the flux of the state's
-    own field (SimState.physical), built from the band.  A nonfinite value
-    in the input state, or in the result or ledger after the four stages,
-    raises BlowUpError carrying the time the step was aiming for;
-    an overflow inside a stage reaches the result, as an inf or NaN in the
-    flux makes every mode of its transform nonfinite.  The step's
-    dissipation integral, over the retained band, is added to the ledger
-    (see _ledger_weights); it only reads the stage arrays, so u_hat does
-    not depend on it.
+    Exact on the linear part for any dt.  The factors exp(-dt*m) and the
+    ledger weights come from _step_factors, which builds them only when dt
+    or the dissipation differs from the last step's; the step only reads
+    them.  With the flux enabled the step works on the alias-free band
+    only (band_layout): the state is gathered onto it once, every stage
+    lives there, and the result is scattered back with everything outside
+    the band zeroed, as SimState keeps every flux state.  Stage 1 takes
+    the flux of the state's own field (SimState.physical), built from the
+    band.  A nonfinite value in the input state, or in the result or
+    ledger after the four stages, raises BlowUpError carrying the time the
+    step was aiming for; an overflow inside a stage reaches the result, as
+    an inf or NaN in the flux makes every mode of its transform nonfinite.
+    The step's dissipation integral, over the retained band, is added to
+    the ledger (see _ledger_weights); it only reads the stage arrays, so
+    u_hat does not depend on it.
     """
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     grid = s.grid
-    # the ledger weights need the even symbol on the band folded onto |j|
-    band = band_layout(grid, 1 if s.flux is None else s.flux.dealias_denom)
-    m_kept = s.dissipation.symbol[: band.n_folded, : band.ncols]
+    denom = 1 if s.flux is None else s.flux.dealias_denom
+    band = band_layout(grid, denom)
     if s.flux is None:
-        new = linear_exact(s.u_hat, s.dissipation, dt).coeffs
-        # exact for the free decay: 0.5*|c|^2*(1 - exp(-2*m*dt)) per mode
-        dissipated = -0.5 * np.expm1(-2.0 * dt * m_kept) * band.folded_abs2(s.u_hat.coeffs)
+        decay, weight = _step_factors(s.dissipation, dt, denom)
+        new = s.u_hat.coeffs * decay
+        dissipated = band.folded_abs2(s.u_hat.coeffs)
+        dissipated *= weight
     else:
+        e_half, e_full, p0, p1, p2 = _step_factors(s.dissipation, dt, denom)
         c = band.gather(s.u_hat.coeffs)
         # a flux state is zero outside the band (SimState), so a NaN or inf
         # can only sit in c
         if not np.all(np.isfinite(c)):
             raise BlowUpError(s.t + dt, f"nonfinite state entering step to t={s.t + dt:.6g}")
-        m = band.gather(s.dissipation.symbol)
-        # one band exp: exp(-dt*m) is the square of exp(-dt*m/2)
-        e_half = np.exp(np.multiply(m, -0.5 * dt, out=m), out=m)
-        e_full = np.square(e_half)
         start = band.folded_abs2(c)
         # Each k is dt times the right-hand side -N.  The stages e_half*(c
         # + k1/2), e_half*c + k2/2 and e_full*c + e_half*k3, and new =
@@ -171,8 +173,8 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
         # place with the same operations up to commuted operands, so they
         # round as those expressions do.  Each array is folded into its
         # next use as soon as that is known: c and k1 become e_full*c and
-        # e_full*k1 before the third RHS, and only they, the stage and
-        # e_half outlive the last.  2*e_half*(k2 + k3) is taken as
+        # e_full*k1 before the third RHS, and only they and the stage
+        # outlive the last.  2*e_half*(k2 + k3) is taken as
         # ((k2 + k3)*e_half)*2, the same bits, since doubling is exact.
         # Each stage enters the ledger once its RHS is known.
         k1 = nonlinear_coeffs(grid, c, s.flux, s.physical.values, -dt)
@@ -186,7 +188,7 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
         c *= e_full
         new = k1
         new *= e_full
-        del k1, e_full
+        del k1
         k3 = nonlinear_coeffs(grid, stage, s.flux, scale=-dt)
         mid += band.folded_abs2(stage)
         np.multiply(e_half, k3, out=stage)
@@ -204,11 +206,6 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
         # its reciprocal, so this has the bits of /6 at a tenth of the cost
         new *= 1.0 / 6.0
         new += c
-        # the ledger weights' exp(-z/2), z = 2*m*dt, is exp(-dt*m): e_full on
-        # the folded rows j >= 0, the band's first n_folded rows, squared
-        # again from e_half there in place, once no stage needs it
-        folded = e_half[: band.n_folded]
-        p0, p1, p2 = _ledger_weights(2.0 * dt * m_kept, np.square(folded, out=folded))
         # p0*start + p1*(0.5*mid) + p2*end
         dissipated = np.multiply(start, p0, out=start)
         mid *= 0.5
@@ -224,10 +221,69 @@ def step_ifrk4(s: SimState, dt: float) -> SimState:
     return replace(s, t=s.t + dt, u_hat=SpectralField(grid, new), ledger=s.ledger + dissipated)
 
 
-def _ledger_weights(z: np.ndarray, shrink: np.ndarray
+#: ((dissipation, dt, denom), factors) of the last _step_factors call, or
+#: None.  Read and replaced as one tuple, so a thread sees a whole entry.
+_factors = None
+
+
+def _step_factors(dissipation: DissipationSpec, dt: float, denom: int
+                  ) -> tuple[np.ndarray, ...]:
+    """The factors of step_ifrk4 that depend only on the symbol m and dt,
+    built once per (dissipation, dt, denom) and returned read-only.
+
+    denom = 1 (flux-free): exp(-dt*m) on the half lattice and the free
+    decay's dissipation weights -0.5*expm1(-2*dt*m) on the folded rows.
+    denom > 1 (flux on band_layout(grid, denom)): e_half = exp(-dt*m/2) and
+    e_full = e_half**2 on the band, and the ledger weights p0, p1, p2 of
+    _ledger_weights, whose exp(-z/2) is e_full on the folded rows.
+
+    One entry is kept: a run whose steps all take the sample spacing (a
+    flux-free run, or a flux run once the CFL bound exceeds it) builds
+    them once, and a CFL-limited step, whose dt is new, drops the previous
+    entry before it builds the next.  Each array is allocated once, the
+    three weights as one block, and built in place, so no freed temporary
+    lies below a kept array.  An entry depends on its key alone, so
+    threads that race on the cache at worst build the same factors twice.
+    """
+    global _factors
+    key = (dissipation, dt, denom)
+    kept = _factors
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    # this frame's reference too, so the last entry is freed here
+    kept = _factors = None
+    band = band_layout(dissipation.grid, denom)
+    m_folded = dissipation.symbol[: band.n_folded, : band.ncols]
+    if denom == 1:
+        decay = np.multiply(dissipation.symbol, -dt)
+        np.exp(decay, out=decay)
+        # exact for the free decay: 0.5*|c|^2*(1 - exp(-2*m*dt)) per mode
+        weight = np.multiply(m_folded, -2.0 * dt)
+        np.expm1(weight, out=weight)
+        weight *= -0.5
+        factors = (decay, weight)
+    else:
+        # one band exp: exp(-dt*m) is the square of exp(-dt*m/2)
+        e_half = band.gather(dissipation.symbol)
+        np.multiply(e_half, -0.5 * dt, out=e_half)
+        np.exp(e_half, out=e_half)
+        e_full = np.square(e_half)
+        weights = np.empty((3, band.n_folded, band.ncols))
+        # z = 2*m*dt on the folded rows j >= 0, the band's first n_folded
+        # rows, where e_full is exp(-z/2); allocated after the weights, it
+        # is freed above them
+        _ledger_weights(np.multiply(m_folded, 2.0 * dt), e_full[: band.n_folded], out=weights)
+        factors = (e_half, e_full, *weights)
+    for a in factors:
+        a.flags.writeable = False
+    _factors = (key, factors)
+    return factors
+
+
+def _ledger_weights(z: np.ndarray, shrink: np.ndarray, out: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-mode weights of the step's dissipation integral, for z = 2*m*dt >= 0
-    and shrink = exp(-z/2), which the step already holds as exp(-dt*m).
+    and shrink = exp(-z/2), which _step_factors passes as e_full = exp(-dt*m).
 
     The integral of m*|u_hat|^2 over the step is P0*|c|^2 + P1*mid + P2*end,
     with mid the mean of |u_hat|^2 over the two s = dt/2 stages and end
@@ -240,22 +296,25 @@ def _ledger_weights(z: np.ndarray, shrink: np.ndarray
     P0 = (z^2 + 4 - 3z - (z + 4)*shrink^2) / (2z^2),
     P1 = 4*((z - 2)*grow + (z + 2)*shrink) / (2z^2) and
     P2 = ((4 - z)*grow^2 - (z^2 + 4) - 3z) / (2z^2), grow = 1/shrink,
-    with every pass taken in place.
+    with every pass taken in place.  The weights are built in out, of
+    shape (3,) + z.shape, or in one fresh such array, allocated before
+    every temporary, so that those are freed above them.
     """
+    p0, p1, p2 = np.empty((3,) + z.shape) if out is None else out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.add(z, 4.0, out=p0)
+        np.subtract(z, 2.0, out=p1)
+        np.add(z, 2.0, out=p2)
         grow = np.divide(1.0, shrink)
         even = z * z
         half_inv = np.divide(0.5, even)
         even += 4.0
         odd = 3.0 * z
-        p0 = z + 4.0
         p0 *= shrink
         p0 *= shrink
         np.subtract(even - odd, p0, out=p0)
         p0 *= half_inv
-        p1 = z - 2.0
         p1 *= grow
-        p2 = z + 2.0
         p2 *= shrink
         p1 += p2
         p1 *= half_inv

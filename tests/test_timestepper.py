@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -24,13 +25,15 @@ from anisoflow import (
     sample_times,
     step_ifrk4,
 )
+from anisoflow import timestepper
 from anisoflow.config import RandomBlobIC
 from anisoflow.errors import BlowUpError
 from anisoflow.norms import lp_norms, parseval_sums
 from anisoflow.operators import nonlinear_coeffs
 from anisoflow.run import advance_to
 from anisoflow.spectral import SpectralField, band_layout, fourier_weight
-from anisoflow.timestepper import _F_SERIES, _G_SERIES, _Z_FIT, _Z_SERIES, _ledger_weights
+from anisoflow.timestepper import (
+    _F_SERIES, _G_SERIES, _Z_FIT, _Z_SERIES, _ledger_weights, _step_factors)
 
 from conftest import TWO_PI, keep_mask, random_field, single_mode_spectrum, spectral_energy
 
@@ -303,6 +306,114 @@ class TestBandStep:
         assert not keep_mask(grid32, s.flux.dealias_denom)[15, 3]
         with pytest.raises(ValueError, match="nonfinite"):
             replace(s, t=1.5, u_hat=SpectralField(grid32, coeffs))
+
+
+class TestStepFactors:
+    """The step's factors of (m, dt), kept for the last (dissipation, dt)."""
+
+    @staticmethod
+    def denom(s):
+        return 1 if s.flux is None else s.flux.dealias_denom
+
+    @pytest.mark.parametrize("kappa", [0, 1, 2])
+    def test_repeated_dt_steps_match_cold_cache_steps(self, grid32, monkeypatch, kappa):
+        s0 = make_state(grid32, alpha1=1.5, alpha2=2.0, flux_kappa=kappa, seed=6, band=kappa > 0)
+
+        def steps(cold):
+            s, out = s0, []
+            for _ in range(3):
+                if cold:
+                    monkeypatch.setattr(timestepper, "_factors", None)
+                s = step_ifrk4(s, 0.05)
+                out.append((s.u_hat.coeffs.tobytes(), repr(s.ledger)))
+            return out
+
+        cold = steps(cold=True)
+        assert steps(cold=False) == cold
+        # a fresh but equal dissipation takes the kept factors too
+        kept = _step_factors(s0.dissipation, 0.05, self.denom(s0))
+        again = _step_factors(DissipationSpec(grid32, 1.5, 2.0), 0.05, self.denom(s0))
+        assert all(a is b for a, b in zip(kept, again))
+
+    @pytest.mark.parametrize("denom", [1, 3, 4])
+    def test_factors_are_the_former_expressions_read_only(self, grid32, denom):
+        # the expressions the step evaluated on every call before the
+        # factors were kept
+        d = DissipationSpec(grid32, 1.5, 2.0)
+        dt = 0.05
+        band = band_layout(grid32, denom)
+        m, m_folded = d.symbol, d.symbol[: band.n_folded, : band.ncols]
+        if denom == 1:
+            expected = [np.exp(-dt * m), -0.5 * np.expm1(-2.0 * dt * m_folded)]
+        else:
+            e_half = np.exp(band.gather(m) * (-0.5 * dt))
+            e_full = np.square(e_half)
+            expected = [e_half, e_full,
+                        *_ledger_weights(2.0 * dt * m_folded, e_full[: band.n_folded])]
+        factors = _step_factors(d, dt, denom)
+        assert len(factors) == len(expected)
+        for got, ref in zip(factors, expected):
+            assert np.array_equal(got, ref)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0] = 1.0
+
+    @pytest.mark.parametrize("kappa", [0, 1, 2])
+    def test_a_repeated_dt_step_calls_no_exp(self, grid32, monkeypatch, kappa):
+        s = make_state(grid32, alpha1=1.5, alpha2=2.0, flux_kappa=kappa, band=kappa > 0)
+        s = step_ifrk4(s, 0.05)
+        calls = []
+        for name in ("exp", "expm1"):
+            def counted(*args, _real=getattr(np, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        step_ifrk4(s, 0.05)
+        assert calls == []
+        # a new dt builds its factors: one exp, and the flux-free ledger's expm1
+        step_ifrk4(s, 0.07)
+        assert sorted(calls) == (["exp", "expm1"] if kappa == 0 else ["exp"])
+
+    @pytest.mark.parametrize("kappa", [0, 1])
+    def test_steps_with_new_dts_keep_one_entry(self, kappa):
+        grid = make_grid(64, 64, 4.0 * TWO_PI, 4.0 * TWO_PI)
+        s = make_state(grid, alpha1=1.5, alpha2=2.0, flux_kappa=kappa, band=kappa > 0)
+        step_ifrk4(s, 0.01)  # the band, the symbol and the state's field
+        entry = sum(a.nbytes for a in _step_factors(s.dissipation, 0.01, self.denom(s)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for dt in (0.02, 0.03, 0.04):
+                step_ifrk4(s, dt)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # the 0.01 entry was built before tracing, so kept is the last one's
+        # bytes and the array headers: one entry, not three
+        assert entry <= kept <= entry + 4096, (kept, entry)
+
+    @pytest.mark.parametrize("denom", [1, 3])
+    def test_a_new_dt_frees_the_kept_entry_before_building(self, monkeypatch, denom):
+        grid = make_grid(64, 64, 4.0 * TWO_PI, 4.0 * TWO_PI)
+        d = DissipationSpec(grid, 1.5, 2.0)
+        band_layout(grid, denom), d.symbol  # built before tracing
+        monkeypatch.setattr(timestepper, "_factors", None)
+
+        def build_peak(dt):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            entry = sum(a.nbytes for a in _step_factors(d, dt, denom))
+            return tracemalloc.get_traced_memory()[1] - base, entry
+
+        tracemalloc.start()
+        try:
+            cold, entry = build_peak(0.01)  # nothing kept before
+            miss, _ = build_peak(0.02)  # the 0.01 entry is live at its base
+        finally:
+            tracemalloc.stop()
+        # the miss peaks one entry lower than the cold build: the 0.01
+        # entry is gone before the 0.02 one is allocated
+        assert miss <= cold - entry + 4096, (miss, cold, entry)
 
 
 class TestEnergyLedger:

@@ -1,6 +1,6 @@
 """The transient peaks of record, the flux right-hand side and the flux
-step: allocation budgets, nothing kept between calls, and the norms and the
-flux on several threads at once."""
+step: allocation budgets, nothing kept between calls but the step's last
+factors, and the norms and the step on several threads at once."""
 
 import sys
 import threading
@@ -21,6 +21,7 @@ from anisoflow import (
     record,
     step_ifrk4,
 )
+from anisoflow import timestepper
 from anisoflow.norms import lp_norms, parseval_sums
 from anisoflow.operators import nonlinear_coeffs
 from anisoflow.spectral import SpectralField, band_layout, fourier_weight
@@ -49,10 +50,13 @@ def gaussian_state(grid, t=0.0, kappa=1, amplitude=5.0, shift=0.0):
 
 def transient_peak(fn) -> int:
     """Bytes allocated at the peak of one call of fn above what was live
-    before it, its result included, after one warm-up call (tracemalloc)."""
-    fn()
+    before it, its result included, after one warm-up call (tracemalloc).
+    The warm-up is traced too, so what the call frees of the warm-up's
+    allocations counts against its peak."""
     tracemalloc.start()
     try:
+        fn()
+        tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         fn()
         return tracemalloc.get_traced_memory()[1] - base
@@ -125,24 +129,31 @@ class TestAllocationBudget:
 
 
     @pytest.mark.parametrize("kappa", [1, 2])
-    def test_flux_step_peak_is_six_band_arrays_and_the_fft_outputs(self, grid, kappa):
+    @pytest.mark.parametrize("dts", [(0.05, 0.05), (0.05, 0.06)], ids=["same_dt", "new_dt"])
+    def test_flux_step_peak_is_six_band_arrays_and_the_fft_outputs(self, grid, monkeypatch,
+                                                                    kappa, dts):
         # measured at 128^2 (numpy 2.4): one real field and one half
-        # lattice, the transform outputs of a right-hand side, and 6.04
-        # (kappa = 1) and 6.06 (kappa = 2) band arrays.  Inside the third
-        # RHS the step holds e_full*c, e_full*k1, k2 and the stage, its
-        # real e_half and the ledger's two folded sums (half a band array
-        # between them), and the RHS its result; the ledger weights take
-        # exp(-dt*m) from e_half's folded rows, squared in place after the
-        # last RHS.  6.29 and 6.32 when those rows of e_full were copied
-        # before the stages, the same 6.04 and 6.06 when the weights took
-        # their own exp; 8.05 and 7.83 when the stages and the RK4
-        # combination were built from per-operation temporaries.  Margin
-        # 25% of the band arrays.
+        # lattice, the transform outputs of a right-hand side, and 5.53
+        # (kappa = 1) and 5.55 (kappa = 2) band arrays when the step takes
+        # the warm-up's dt, 5.54 and 5.56 when its dt is new.  Inside the
+        # third RHS the step holds e_full*c, e_full*k1, k2 and the stage,
+        # the ledger's two folded sums (half a band array between them),
+        # and the RHS its result.  e_half, e_full and the ledger weights
+        # are the last dt's factors (_step_factors): a new dt frees them
+        # before it builds its own, so the step with a new dt peaks no
+        # higher.  6.04 and 6.06 when the step built e_half and e_full
+        # itself and freed e_full before the third RHS; 8.05 and 7.83 when
+        # the stages and the RK4 combination were built from
+        # per-operation temporaries.  Margin 25% of six band arrays.
         s = gaussian_state(grid, kappa=kappa)
         band = band_layout(grid, s.flux.dealias_denom)
         band_bytes = band.gather(s.u_hat.coeffs).nbytes
         fft_outputs = self.REAL + N * (N // 2 + 1) * 16
-        peak = transient_peak(lambda: step_ifrk4(s, 0.05))
+        # the warm-up builds its dt's factors while traced, so a new dt's
+        # step is seen to free them
+        monkeypatch.setattr(timestepper, "_factors", None)
+        steps = iter(dts)
+        peak = transient_peak(lambda: step_ifrk4(s, next(steps)))
         assert peak <= fft_outputs + 1.25 * 6 * band_bytes, \
             f"{(peak - fft_outputs) / band_bytes:.2f} band arrays"
 
@@ -206,28 +217,33 @@ class TestPerThread:
         assert threaded_primitives == [serial_primitives] * 40
 
     def test_step_on_threads_equals_serial(self, grid):
-        # two threads step different states of one grid through the flux,
-        # which shares no array between calls and takes no lock
-        states = [gaussian_state(grid), gaussian_state(grid, amplitude=3.0, shift=4.0)]
+        # more threads than the 2 cores step different states of one grid:
+        # the flux shares no array between calls and takes no lock, and the
+        # step's kept factors, one entry for the process, are taken and
+        # replaced in turn by two threads on one dt and two on others
+        runs = [(gaussian_state(grid), 0.05),
+                (gaussian_state(grid, amplitude=3.0, shift=4.0), 0.05),
+                (gaussian_state(grid, kappa=2, amplitude=2.0), 0.04),
+                (gaussian_state(grid, kappa=None), 0.5)]
 
-        def steps(s):
+        def steps(s, dt):
             out = []
             for _ in range(6):
-                s = step_ifrk4(s, 0.05)
+                s = step_ifrk4(s, dt)
                 out.append((s.u_hat.coeffs.tobytes(), repr(s.ledger)))
             return out
 
-        serial = [steps(s) for s in states]
-        threaded = [None] * len(states)
+        serial = [steps(*run) for run in runs]
+        threaded = [None] * len(runs)
         errors = []
 
         def work(i):
             try:
-                threaded[i] = steps(states[i])
+                threaded[i] = steps(*runs[i])
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(states))]
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(runs))]
         run_threads(threads, 1e-6)
         assert not errors
         assert threaded == serial
