@@ -10,7 +10,7 @@ from functools import partial
 
 from .config import load_config, parse_call, parse_keys
 from .decay import energy_audit, fit_power_law, max_principle_audit, theoretical_exponent
-from .errors import ConfigError
+from .errors import BlowUpError, ConfigError
 from .ineq import FieldCorpusSpec, SpectrumLaw, corpus_report, generate_corpus
 from .io import read_timeseries
 from .operators import DissipationSpec
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, BlowUpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

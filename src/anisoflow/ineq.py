@@ -81,25 +81,22 @@ class RatioReport:
     exponents: dict[str, float]
 
 
-def _half_spectrum(env: np.ndarray, band: BandLayout, scale: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """One rfft2-layout spectrum of a real field: moduli env * scale and
-    random phases on the band (env is a band array), zero elsewhere."""
+def _half_spectrum(env: np.ndarray, band: BandLayout, rng: np.random.Generator) -> np.ndarray:
+    """One band array of the rfft2-layout spectrum of a real field: moduli
+    env and random phases on the band (env is a band array)."""
     nx, ny = band.grid.nx, band.grid.ny
     # the phases of the whole half lattice are drawn, so the stream, and with
     # it every later field, does not depend on the band
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(nx, ny // 2 + 1))
     b = env * np.exp(1j * band.gather(phases))
-    b *= scale
-    c = band.scatter(b)
     # the self-conjugate column xi2 = 0 needs Hermitian symmetry along x
-    c[nx // 2 + 1:, 0] = np.conj(c[1:nx // 2, 0])[::-1]
+    b[band.n_pos:, 0] = np.conj(b[1:band.n_neg + 1, 0])[::-1]
     # the real axis modes (rows 0 and nx/2 of columns 0 and ny/2) lie outside
     # the band or are the mean; their signs are still drawn, as above
     for _ in range(4):
         rng.choice((-1.0, 1.0))
-    c[0, 0] = 0.0  # zero mean
-    return c
+    b[0, 0] = 0.0  # zero mean
+    return b
 
 
 def generate_corpus(spec: FieldCorpusSpec) -> list[PhysicalField]:
@@ -110,7 +107,8 @@ def generate_corpus(spec: FieldCorpusSpec) -> list[PhysicalField]:
     j2 <= band_limit * ny/2, which is held as a BandLayout; its rule (<=,
     from band_limit) is not band_layout's alias-free one, so it is counted
     here.  The envelope draws nothing, so it is gathered onto the band
-    once for the corpus.  The fields are read-only.
+    once for the corpus.  Each member is the band's to_physical of its band
+    array, the one inverse transform, unscaled.  The fields are read-only.
     """
     rng = np.random.default_rng(spec.seed)
     g = spec.grid
@@ -120,7 +118,7 @@ def generate_corpus(spec: FieldCorpusSpec) -> list[PhysicalField]:
     env = band.gather(spec.spectrum_law.envelope(g.xi_mod))
     fields = []
     for _ in range(spec.count):
-        values = np.fft.irfft2(_half_spectrum(env, band, g.nx * g.ny, rng), s=(g.nx, g.ny))
+        values = band.to_physical(_half_spectrum(env, band, rng))
         values.flags.writeable = False
         fields.append(PhysicalField(g, values))
     return fields

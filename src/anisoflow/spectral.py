@@ -28,13 +28,13 @@ synthesizes its band-limited fields on a BandLayout of its own band, all
 go through it.
 
 Every transform runs on numpy.fft's pocketfft, single-threaded, and gives
-the bits of scipy.fft's rfft2 and irfft2 (inverse_transform scales once by
-1/(nx*ny), not once per axis; the band's inverse, to_physical, is left
-unscaled for its caller); the tests hold it to that.  A flux state, which
-SimState keeps on its band, builds its field with to_physical and one
-scaling by 1/(lx*ly) (SimState.physical), which agrees with
-inverse_transform to rounding, and the flux folds that scaling into the
-scalar of its result.
+the bits of scipy.fft's rfft2 and irfft2; the tests hold it to that.  The
+one inverse kernel is to_physical, unscaled: inverse_transform runs it on
+band_layout(grid, 1), the whole half lattice, then scales by 1/(nx*ny),
+scipy's single factor, and 1/cell_area.  A flux state, which SimState
+keeps on its band, builds its field with to_physical and one scaling by
+1/(lx*ly) (SimState.physical), which agrees with inverse_transform to
+rounding, and the flux folds that scaling into the scalar of its result.
 """
 
 from __future__ import annotations
@@ -233,11 +233,10 @@ def forward_transform(u: PhysicalField) -> SpectralField:
 
 
 def inverse_transform(v: SpectralField) -> PhysicalField:
-    """Half-lattice Fourier coefficients -> real samples."""
+    """Half-lattice Fourier coefficients -> real samples: the unscaled band
+    inverse on the whole half lattice, then scipy's factor 1/(nx*ny)."""
     g = v.grid
-    # unnormalized along both axes, then scipy's single factor 1/(nx*ny)
-    c = np.fft.ifft(v.coeffs, axis=0, norm="forward")
-    values = np.fft.irfft(c, n=g.ny, axis=1, norm="forward")
+    values = band_layout(g, 1).to_physical(v.coeffs)
     values *= 1.0 / (g.nx * g.ny)
     values /= g.cell_area()
     return PhysicalField(g, values)

@@ -684,6 +684,33 @@ class TestCli:
         assert cli_main(["simulate", "/nonexistent.cfg"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_simulate_reports_a_blowup(self, tmp_path, capsys, monkeypatch):
+        from anisoflow.errors import BlowUpError
+        import anisoflow.run as run_mod
+
+        real_step = run_mod.step_ifrk4
+
+        def exploding_step(state, dt):
+            if state.t >= 0.5:
+                raise BlowUpError(state.t + dt)
+            return real_step(state, dt)
+
+        monkeypatch.setattr(run_mod, "step_ifrk4", exploding_step)
+        csv_path = tmp_path / "ts.csv"
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            "nx = 32\nny = 32\nlx = 6.283185307179586\nly = 6.283185307179586\n"
+            "alpha1 = 2\nalpha2 = 2\nt_end = 2\nsample_every = 0.25\n"
+            "ic = single_mode(1, 0, 1.0)\nnonlinearity_enabled = false\n"
+            f"timeseries_path = {csv_path}\n"
+        )
+        assert cli_main(["simulate", str(cfg_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: solution blew up at t=0.75\n"
+        assert captured.out == ""
+        # the samples before the failure were flushed
+        assert [s.t for s in read_timeseries(str(csv_path))] == [0.0, 0.25, 0.5]
+
 
 class TestDocs:
     @staticmethod

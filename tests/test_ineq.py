@@ -95,7 +95,7 @@ class TestCorpusGeneration:
 def full_lattice_corpus(spec):
     """The corpus values built over the whole half lattice: the masked
     envelope times the phases' exponential everywhere, the Hermitian fix-up
-    and signs of both self-conjugate columns, then the nx*ny scale."""
+    and signs of both self-conjugate columns, then the unscaled inverse."""
     rng = np.random.default_rng(spec.seed)
     g = spec.grid
     env = np.where(
@@ -113,7 +113,7 @@ def full_lattice_corpus(spec):
             c[0, col] = env[0, col] * rng.choice((-1.0, 1.0))
             c[nx // 2, col] = env[nx // 2, col] * rng.choice((-1.0, 1.0))
         c[0, 0] = 0.0
-        out.append(np.fft.irfft2(c * (g.nx * g.ny), s=(g.nx, g.ny)))
+        out.append(np.fft.irfft2(c, s=(g.nx, g.ny), norm="forward"))
     return out
 
 

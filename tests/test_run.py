@@ -51,12 +51,14 @@ def serial_run(cfg):
     return series, state
 
 
-def test_one_inverse_transform_per_state(tmp_path, monkeypatch):
-    # per step: 4 flux evaluations with one rfft each, 3 of them with an
-    # irfft and stage 1 reusing the state's field, plus the new state's
-    # field; then the initial forward transform and the initial field.
-    # numpy's own rfft2/irfft2 reach rfft/irfft through numpy.fft._pocketfft,
-    # so both modules are patched
+@pytest.mark.parametrize("nonlinear", [True, False], ids=["kappa1", "linear"])
+def test_one_inverse_transform_per_state(tmp_path, monkeypatch, nonlinear):
+    # with the flux, per step: 4 flux evaluations with one rfft each, 3 of
+    # them with an irfft and stage 1 reusing the state's field, plus the new
+    # state's field; without it, per step only the new state's field; then
+    # the initial forward transform and the initial field.  numpy's own
+    # rfft2/irfft2 reach rfft/irfft through numpy.fft._pocketfft, so both
+    # modules are patched
     counts = {"irfft": 0, "rfft": 0, "steps": 0}
     for name in ("irfft", "rfft"):
         real = getattr(np.fft, name)
@@ -74,10 +76,14 @@ def test_one_inverse_transform_per_state(tmp_path, monkeypatch):
         return real_step(state, dt)
 
     monkeypatch.setattr(run_mod, "step_ifrk4", counted_step)
-    run_simulation(small_config(tmp_path, alpha1=2.0))
+    run_simulation(small_config(tmp_path, alpha1=2.0, nonlinearity_enabled=nonlinear))
     steps = counts["steps"]
-    assert steps > len(sample_times(2.0, 0.25))  # the CFL bound limited some steps
-    assert counts == {"irfft": 4 * steps + 1, "rfft": 4 * steps + 1, "steps": steps}
+    if nonlinear:
+        assert steps > len(sample_times(2.0, 0.25))  # the CFL bound limited some steps
+        assert counts == {"irfft": 4 * steps + 1, "rfft": 4 * steps + 1, "steps": steps}
+    else:
+        assert steps == len(sample_times(2.0, 0.25))  # one exact step per sample
+        assert counts == {"irfft": steps + 1, "rfft": 1, "steps": steps}
 
 
 @pytest.mark.parametrize("nonlinear", [True, False], ids=["kappa1", "linear"])
