@@ -234,7 +234,7 @@ def forward_transform(u: PhysicalField) -> SpectralField:
 
 def inverse_transform(v: SpectralField) -> PhysicalField:
     """Half-lattice Fourier coefficients -> real samples: the unscaled band
-    inverse on the whole half lattice, then scipy's factor 1/(nx*ny)."""
+    inverse on the whole half lattice, then 1/(nx*ny) and 1/cell_area."""
     g = v.grid
     values = band_layout(g, 1).to_physical(v.coeffs)
     values *= 1.0 / (g.nx * g.ny)
