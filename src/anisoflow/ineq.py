@@ -9,11 +9,15 @@ resolutions.
 
 from __future__ import annotations
 
+import contextvars
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import lp_norms, parseval_sums
+from .norms import parseval_sums
 from .operators import DissipationSpec
 from .spectral import BandLayout, GridSpec, PhysicalField, forward_transform, fourier_weight
 
@@ -60,6 +64,9 @@ class FieldCorpusSpec:
     grid: GridSpec
 
     def __post_init__(self):
+        for name, value in (("count", self.count), ("seed", self.seed)):
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if not (0.0 < self.band_limit <= 2.0 / 3.0):
@@ -81,22 +88,17 @@ class RatioReport:
     exponents: dict[str, float]
 
 
-def _half_spectrum(env: np.ndarray, band: BandLayout, rng: np.random.Generator) -> np.ndarray:
-    """One band array of the rfft2-layout spectrum of a real field: moduli
-    env and random phases on the band (env is a band array)."""
-    nx, ny = band.grid.nx, band.grid.ny
-    # the phases of the whole half lattice are drawn, so the stream, and with
-    # it every later field, does not depend on the band
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(nx, ny // 2 + 1))
-    b = env * np.exp(1j * band.gather(phases))
+def _synthesize(env: np.ndarray, band: BandLayout, phases: np.ndarray) -> PhysicalField:
+    """The read-only member whose band array has moduli env and the given
+    phases (both band arrays): the rfft2-layout spectrum of a real field,
+    through the band's to_physical, unscaled."""
+    b = env * np.exp(1j * phases)
     # the self-conjugate column xi2 = 0 needs Hermitian symmetry along x
     b[band.n_pos:, 0] = np.conj(b[1:band.n_neg + 1, 0])[::-1]
-    # the real axis modes (rows 0 and nx/2 of columns 0 and ny/2) lie outside
-    # the band or are the mean; their signs are still drawn, as above
-    for _ in range(4):
-        rng.choice((-1.0, 1.0))
     b[0, 0] = 0.0  # zero mean
-    return b
+    values = band.to_physical(b)
+    values.flags.writeable = False
+    return PhysicalField(band.grid, values)
 
 
 def generate_corpus(spec: FieldCorpusSpec) -> list[PhysicalField]:
@@ -107,8 +109,21 @@ def generate_corpus(spec: FieldCorpusSpec) -> list[PhysicalField]:
     j2 <= band_limit * ny/2, which is held as a BandLayout; its rule (<=,
     from band_limit) is not band_layout's alias-free one, so it is counted
     here.  The envelope draws nothing, so it is gathered onto the band
-    once for the corpus.  Each member is the band's to_physical of its band
-    array, the one inverse transform, unscaled.  The fields are read-only.
+    once for the corpus.  The fields are read-only.
+
+    The calling thread draws every member's randomness from the one
+    generator, in stream order: the phases of the whole half lattice, so
+    that the stream, and with it every later member, does not depend on the
+    band, then four signs for the real-axis modes (rows 0 and nx/2 of
+    columns 0 and ny/2), which lie outside the band or are the mean and are
+    drawn only to keep the stream.  A pool of one thread per usable CPU,
+    started and joined within the call, synthesizes the members
+    (_synthesize); each task runs in its own copy of the caller's context,
+    so numpy's errstate holds there as it does here.  At most two members
+    per thread are in flight, and they are collected in order, so the
+    corpus is the bits of a serial loop whatever the thread count.  An
+    error in a member propagates, and the members not yet started are
+    cancelled.
     """
     rng = np.random.default_rng(spec.seed)
     g = spec.grid
@@ -116,11 +131,22 @@ def generate_corpus(spec: FieldCorpusSpec) -> list[PhysicalField]:
     n_pos, n_neg = (int(np.count_nonzero(h)) for h in np.split(keep_x, 2))
     band = BandLayout(g, n_pos, n_neg, int(np.count_nonzero(g.jy <= spec.band_limit * g.ny / 2.0)))
     env = band.gather(spec.spectrum_law.envelope(g.xi_mod))
-    fields = []
-    for _ in range(spec.count):
-        values = band.to_physical(_half_spectrum(env, band, rng))
-        values.flags.writeable = False
-        fields.append(PhysicalField(g, values))
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+    fields, pending = [], deque()
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="anisoflow-corpus")
+    try:
+        for _ in range(spec.count):
+            phases = band.gather(rng.uniform(0.0, 2.0 * np.pi, size=(g.nx, g.ny // 2 + 1)))
+            for _ in range(4):
+                rng.choice((-1.0, 1.0))
+            if len(pending) == 2 * workers:
+                fields.append(pending.popleft().result())
+            pending.append(pool.submit(contextvars.copy_context().run,
+                                       _synthesize, env, band, phases))
+        fields += [f.result() for f in pending]
+    finally:
+        pool.shutdown(cancel_futures=True)
     return fields
 
 
@@ -146,9 +172,9 @@ def _gn_exponents(gamma: int, d: DissipationSpec) -> dict[str, float]:
 _SUMS = ("lhs", "big_x", "small_x", "big_y", "small_y", "grad_g", "h2", "l2")
 
 
-def _sum_weight(name: str, gamma: int, d: DissipationSpec):
-    """Fourier weight |xi|^p * |xi_axis|^q of a named Parseval sum, in
-    fourier_weight's shapes: a directional one is not spread over the lattice."""
+def _sum_weight(name: str, gamma: int, d: DissipationSpec, out: np.ndarray) -> None:
+    """Write the Fourier weight |xi|^p * |xi_axis|^q of a named Parseval sum
+    over the half lattice into out."""
     p, q, axis = {
         "lhs": (2.0 * gamma, 2.0 - d.alpha1, "x"),
         "big_x": (2.0 * gamma, d.alpha1, "x"),
@@ -159,7 +185,7 @@ def _sum_weight(name: str, gamma: int, d: DissipationSpec):
         "h2": (4.0, 0.0, None),
         "l2": (0.0, 0.0, None),
     }[name]
-    return fourier_weight(d.grid, p) * fourier_weight(d.grid, q, axis)
+    np.multiply(fourier_weight(d.grid, p), fourier_weight(d.grid, q, axis), out=out)
 
 
 def _lemma53(s, e):
@@ -194,12 +220,14 @@ def corpus_report(
     """Evaluate one inequality over a corpus; deterministic reduction order.
 
     Every lemma reads the same row of each field: its Parseval sums
-    (_SUMS), from one transform and one |coeffs|^2, and its physical-space
-    sup norm.  A read-only field, such as a generate_corpus member, keeps
-    its row, so it is transformed once per (gamma, d) across reports; a
-    writeable one is evaluated afresh on every call.  The weights are
-    built on the first row a call computes and dropped with the call, so
-    they add nothing to the resident set between reports.  A sample whose
+    (_SUMS), from one transform and one product of the stacked weights
+    with its |coeffs|^2, and its physical-space sup norm, max|u| taken as
+    max(max u, -min u), the same float.  A read-only field, such as a
+    generate_corpus member, keeps its row, so it is transformed once per
+    (gamma, d) across reports; a writeable one is evaluated afresh on
+    every call.  The stack of weights, one half lattice per sum, is built
+    on the first row a call computes and dropped with the call, so it adds
+    nothing to the resident set between reports.  A sample whose
     denominator is exactly 0 is degenerate, and a corpus of only such
     samples, or none, raises.
     """
@@ -220,8 +248,11 @@ def corpus_report(
         row = None if memo is None else memo.get((gamma, d))
         if row is None:
             if weights is None:
-                weights = [_sum_weight(name, gamma, d) for name in _SUMS]
-            row = (*parseval_sums(forward_transform(u), weights), lp_norms(u, (np.inf,))[0])
+                weights = np.empty((len(_SUMS), d.grid.nx, d.grid.ny // 2 + 1))
+                for w, name in zip(weights, _SUMS):
+                    _sum_weight(name, gamma, d, w)
+            v = u.values
+            row = (*parseval_sums(forward_transform(u), weights), float(max(v.max(), -v.min())))
             if memo is not None:
                 memo[gamma, d] = row
         rows[:, i] = row

@@ -9,10 +9,11 @@ Every temporary is the call's own, so the functions keep nothing between
 calls, take no lock and may run on several threads at once.  lp_norms
 holds one real array, |u|, squared in place for its powers.
 parseval_sums walks the half lattice in blocks of nx/4 rows, so its
-temporaries are fractions of a half lattice; record builds the cutoff chi
-and its two split weights block by block inside that walk.  So record's
-transient peak is about one real field, which the sampler thread adds to
-the stepping's own.
+temporaries are fractions of a half lattice (one half lattice for a caller
+that already holds its weights stacked over the lattice); record builds
+the cutoff chi and its two split weights block by block inside that walk.
+So record's transient peak is about one real field, which the sampler
+thread adds to the stepping's own.
 """
 
 from __future__ import annotations
@@ -95,26 +96,34 @@ def parseval_sums(v: SpectralField, weights, block_weights=None) -> list[float]:
     each weight: the L^2 norm of the multiplier weight^(1/2) applied to v,
     by Parseval.  The half lattice's columns enter with grid.column_weight.
 
-    A weight has one of fourier_weight's shapes: a scalar, (nx, 1) along x,
-    (1, ny//2 + 1) along y, or the half lattice.  block_weights, if given,
-    maps a slice of rows to further weights over those rows only, whose
-    sums follow those of weights; they are never built over the lattice.
+    weights is a list, each of fourier_weight's shapes: a scalar, (nx, 1)
+    along x, (1, ny//2 + 1) along y, or the half lattice; or one stacked
+    array of K half lattices, shape (K, nx, ny//2 + 1).  block_weights, if
+    given, maps a slice of rows to further weights over those rows only,
+    whose sums follow those of weights; they are never built over the
+    lattice.
 
-    The half lattice is taken in blocks of nx/4 rows.  Each block forms
+    A list is taken in blocks of nx/4 rows.  Each block forms
     q = column_weight * |coeffs|^2 once and takes one dot product per
     weight, with no product array: the weight's rows against q, its x
     profile against q's row sums, its y profile against q's column sums,
-    or the scalar times q's total.
+    or the scalar times q's total.  A stack already holds every weight
+    over the lattice, so it takes the whole half lattice as one block and
+    all K sums as one matrix product against q.
     """
     g = v.grid
-    step = max(1, g.nx // 4)
+    stacked = isinstance(weights, np.ndarray)
+    step = g.nx if stacked else max(1, g.nx // 4)
     sums = 0.0
     for start in range(0, g.nx, step):
         rows = slice(start, start + step)
         q = np.abs(v.coeffs[rows])
         np.square(q, out=q)
         q *= g.column_weight
-        block = [_dot(w, q, rows) for w in weights]
+        if stacked:
+            block = list(weights.reshape(len(weights), -1) @ q.ravel())
+        else:
+            block = [_dot(w, q, rows) for w in weights]
         if block_weights is not None:
             block += [np.vdot(w, q) for w in block_weights(rows)]
         sums += np.array(block)

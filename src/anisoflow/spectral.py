@@ -49,7 +49,8 @@ import numpy as np
 
 def _set_malloc_policy() -> None:
     """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB,
-    once for the process; a C library without mallopt is left as it is.
+    and cap its arenas at one, once for the process; a C library without
+    mallopt is left as it is.
 
     Each state brings fresh arrays of about 2 MB at 512^2: its new
     coefficients, the irfft2 output and pocketfft's temporaries.  glibc
@@ -60,7 +61,11 @@ def _set_malloc_policy() -> None:
     first, so import order alone could decide it.  32 MiB is glibc's
     ceiling for the mmap threshold on 64-bit.  Setting either threshold
     stops glibc adjusting both, and the trim threshold would then stay at
-    its 128 KiB default, so both are set.
+    its 128 KiB default, so both are set.  A thread that allocates, the
+    corpus pool's or run_simulation's sampler, would otherwise get an arena
+    of its own, whose blocks the other threads never reuse, so each array
+    would fault its pages in again wherever it is next allocated; with one
+    arena every thread draws on the one heap these thresholds keep.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
     if mallopt is None:
@@ -68,6 +73,7 @@ def _set_malloc_policy() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 _set_malloc_policy()

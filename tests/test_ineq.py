@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from anisoflow import (
 import anisoflow.ineq as ineq_mod
 from anisoflow.ineq import DegenerateSampleError
 from anisoflow.norms import parseval_sums
-from anisoflow.spectral import fourier_weight
+from anisoflow.spectral import BandLayout, fourier_weight
 
 from conftest import TWO_PI, cosine_field, random_field
 
@@ -44,6 +47,13 @@ class TestCorpusGeneration:
     def test_count_zero_rejected(self):
         with pytest.raises(ValueError):
             small_spec(count=0)
+
+    @pytest.mark.parametrize("keys", [{"count": 2.5}, {"seed": 1.5}])
+    def test_non_integer_count_or_seed_rejected(self, keys):
+        # before the check, a float count or seed failed later, in range or
+        # SeedSequence, with a TypeError
+        with pytest.raises(ValueError, match="must be an integer"):
+            small_spec(**keys)
 
     @pytest.mark.parametrize("band", [0.0, 0.7, 1.0])
     def test_band_limit_domain(self, band):
@@ -90,6 +100,68 @@ class TestCorpusGeneration:
         spec = FieldCorpusSpec(count=4, seed=7, spectrum_law=law, band_limit=band_limit, grid=grid)
         for f, ref in zip(generate_corpus(spec), full_lattice_corpus(spec), strict=True):
             assert f.values.tobytes() == ref.tobytes()
+
+
+def corpus_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("anisoflow-corpus")]
+
+
+class TestCorpusPool:
+    """generate_corpus synthesizes its members on a pool of its own."""
+
+    def test_same_bits_for_one_and_four_workers(self, monkeypatch):
+        spec = small_spec(count=20)  # more members than four workers keep in flight
+        corpora = []
+        for workers in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                                raising=False)
+            corpora.append(b"".join(f.values.tobytes() for f in generate_corpus(spec)))
+        assert corpora[0] == corpora[1]
+
+    def test_members_are_built_on_pool_threads_that_end_with_the_call(self, monkeypatch):
+        names = []
+        to_physical = BandLayout.to_physical
+
+        def recorded(band, b):
+            names.append(threading.current_thread().name)
+            return to_physical(band, b)
+
+        monkeypatch.setattr(BandLayout, "to_physical", recorded)
+        generate_corpus(small_spec(count=6))
+        assert len(names) == 6 and all(n.startswith("anisoflow-corpus") for n in names)
+        assert corpus_threads() == []
+
+    def test_a_member_error_propagates_and_no_thread_outlives_it(self, monkeypatch):
+        calls = []
+        to_physical = BandLayout.to_physical
+
+        def failing(band, b):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("third member failed")
+            return to_physical(band, b)
+
+        monkeypatch.setattr(BandLayout, "to_physical", failing)
+        with pytest.raises(RuntimeError, match="third member failed"):
+            generate_corpus(small_spec(count=12))
+        assert corpus_threads() == []
+
+    def test_a_worker_sees_the_callers_errstate(self, monkeypatch):
+        seen = []
+        to_physical = BandLayout.to_physical
+
+        def recorded(band, b):
+            seen.append((threading.current_thread().name, np.geterr()))
+            return to_physical(band, b)
+
+        monkeypatch.setattr(BandLayout, "to_physical", recorded)
+        with np.errstate(divide="raise", over="ignore", under="warn", invalid="call"):
+            caller = np.geterr()
+            generate_corpus(small_spec(count=4))
+        assert caller != np.geterr()
+        assert len(seen) == 4
+        for name, err in seen:
+            assert name.startswith("anisoflow-corpus") and err == caller
 
 
 def full_lattice_corpus(spec):

@@ -154,6 +154,23 @@ def test_parseval_sums_match_explicit_weighted_sums(nx, ny, lx, ly, seed, p):
     assert [parseval_sums(v, [w])[0] for w in weights] == [one, hg, dx, dy]
 
 
+@pytest.mark.parametrize("nx, ny", [(16, 16), (32, 16), (64, 48), (64, 64)])
+def test_stacked_weights_equal_the_list_form(nx, ny):
+    grid = make_grid(nx, ny, 3.0, 7.5)
+    weights = [1.0, fourier_weight(grid, 1.5, "x"), fourier_weight(grid, 2.0, "y"),
+               fourier_weight(grid, 3.0),
+               fourier_weight(grid, 2.0) * fourier_weight(grid, 0.5, "x")]
+    stack = np.empty((len(weights), nx, ny // 2 + 1))
+    for w, weight in zip(stack, weights):
+        w[...] = weight
+    for seed in range(4):
+        v = forward_transform(random_field(grid, seed))
+        listed, stacked = parseval_sums(v, weights), parseval_sums(v, stack)
+        assert len(stacked) == len(weights)
+        for a, b in zip(listed, stacked):
+            assert abs(b - a) <= 1e-15 * a
+
+
 def make_sim_state(grid, values, alpha1=2.0, alpha2=2.0, t=0.0):
     d = DissipationSpec(grid, alpha1, alpha2)
     return SimState(t, forward_transform(PhysicalField(grid, values)), d, FluxSpec(1))
