@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import parseval_sums
+from .norms import folded_power, power_sums
 from .operators import DissipationSpec
-from .spectral import BandLayout, GridSpec, PhysicalField, forward_transform, fourier_weight
+from .spectral import (BandLayout, GridSpec, PhysicalField, band_layout, forward_transform,
+                       fourier_weight)
 
 
 class DegenerateSampleError(ValueError):
@@ -67,6 +68,10 @@ class FieldCorpusSpec:
         for name, value in (("count", self.count), ("seed", self.seed)):
             if not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, value, kind in (("spectrum_law", self.spectrum_law, SpectrumLaw),
+                                  ("grid", self.grid, GridSpec)):
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if not (0.0 < self.band_limit <= 2.0 / 3.0):
@@ -91,14 +96,21 @@ class RatioReport:
 def _synthesize(env: np.ndarray, band: BandLayout, phases: np.ndarray) -> PhysicalField:
     """The read-only member whose band array has moduli env and the given
     phases (both band arrays): the rfft2-layout spectrum of a real field,
-    through the band's to_physical, unscaled."""
+    through the band's to_physical, unscaled.  Its exact power spectrum,
+    the folded_power of that band array, whose quadrature-weighted
+    coefficients are lx * ly times it, is kept read-only in the member's
+    own __dict__ for corpus_report."""
     b = env * np.exp(1j * phases)
     # the self-conjugate column xi2 = 0 needs Hermitian symmetry along x
     b[band.n_pos:, 0] = np.conj(b[1:band.n_neg + 1, 0])[::-1]
     b[0, 0] = 0.0  # zero mean
     values = band.to_physical(b)
     values.flags.writeable = False
-    return PhysicalField(band.grid, values)
+    u = PhysicalField(band.grid, values)
+    power = folded_power(band, b, band.grid.area())
+    power.flags.writeable = False
+    vars(u)["_power"] = power
+    return u
 
 
 def generate_corpus(spec: FieldCorpusSpec) -> list[PhysicalField]:
@@ -109,7 +121,8 @@ def generate_corpus(spec: FieldCorpusSpec) -> list[PhysicalField]:
     j2 <= band_limit * ny/2, which is held as a BandLayout; its rule (<=,
     from band_limit) is not band_layout's alias-free one, so it is counted
     here.  The envelope draws nothing, so it is gathered onto the band
-    once for the corpus.  The fields are read-only.
+    once for the corpus.  The fields are read-only, and each keeps its
+    exact power spectrum (_synthesize).
 
     The calling thread draws every member's randomness from the one
     generator, in stream order: the phases of the whole half lattice, so
@@ -174,7 +187,9 @@ _SUMS = ("lhs", "big_x", "small_x", "big_y", "small_y", "grad_g", "h2", "l2")
 
 def _sum_weight(name: str, gamma: int, d: DissipationSpec, out: np.ndarray) -> None:
     """Write the Fourier weight |xi|^p * |xi_axis|^q of a named Parseval sum
-    over the half lattice into out."""
+    over the first rows and columns of the half lattice, out's shape, into
+    out.  Every such weight is even in j, so those rows are the folded
+    rows |j| of a folded_power."""
     p, q, axis = {
         "lhs": (2.0 * gamma, 2.0 - d.alpha1, "x"),
         "big_x": (2.0 * gamma, d.alpha1, "x"),
@@ -185,7 +200,10 @@ def _sum_weight(name: str, gamma: int, d: DissipationSpec, out: np.ndarray) -> N
         "h2": (4.0, 0.0, None),
         "l2": (0.0, 0.0, None),
     }[name]
-    np.multiply(fourier_weight(d.grid, p), fourier_weight(d.grid, q, axis), out=out)
+    n, c = out.shape
+    factors = [w if np.ndim(w) == 0 else w[:n, :c]
+               for w in (fourier_weight(d.grid, p), fourier_weight(d.grid, q, axis))]
+    np.multiply(*factors, out=out)
 
 
 def _lemma53(s, e):
@@ -220,16 +238,19 @@ def corpus_report(
     """Evaluate one inequality over a corpus; deterministic reduction order.
 
     Every lemma reads the same row of each field: its Parseval sums
-    (_SUMS), from one transform and one product of the stacked weights
-    with its |coeffs|^2, and its physical-space sup norm, max|u| taken as
-    max(max u, -min u), the same float.  A read-only field, such as a
-    generate_corpus member, keeps its row, so it is transformed once per
-    (gamma, d) across reports; a writeable one is evaluated afresh on
-    every call.  The stack of weights, one half lattice per sum, is built
-    on the first row a call computes and dropped with the call, so it adds
-    nothing to the resident set between reports.  A sample whose
-    denominator is exactly 0 is degenerate, and a corpus of only such
-    samples, or none, raises.
+    (_SUMS), from one product of their weights, all even in j and stacked
+    over the folded rows, with the field's folded_power (power_sums), and
+    its physical-space sup norm, max|u| taken as max(max u, -min u), the
+    same float.  A generate_corpus member brings its exact power spectrum,
+    so it costs no transform; any other field's power is folded from its
+    forward_transform.  A read-only field keeps its row per (gamma, d)
+    across reports, so another read-only field is transformed once per
+    (gamma, d); a writeable one is evaluated afresh on every call.  Each
+    stack of weights, one per shape of power, is built on the first row a
+    call computes with it and dropped with the call, so it adds nothing to
+    the resident set between reports.  A sample whose denominator is
+    exactly 0 is degenerate, and a corpus of only such samples, or none,
+    raises.
     """
     if lemma not in _LEMMAS:
         raise ValueError(f"unknown lemma id {lemma!r}")
@@ -238,7 +259,7 @@ def corpus_report(
     formula, exponents = _LEMMAS[lemma]
     # one contiguous array per sum, the operands of the formula
     rows = np.empty((len(_SUMS) + 1, len(fields)))
-    weights = None
+    stacks = {}
     for i, u in enumerate(fields):
         if u.grid != d.grid:
             raise ValueError(f"field on {u.grid}, but the dissipation is on {d.grid}")
@@ -247,12 +268,16 @@ def corpus_report(
         memo = None if u.values.flags.writeable else vars(u).setdefault("_rows", {})
         row = None if memo is None else memo.get((gamma, d))
         if row is None:
+            power = None if memo is None else vars(u).get("_power")
+            if power is None:
+                power = folded_power(band_layout(u.grid, 1), forward_transform(u).coeffs)
+            weights = stacks.get(power.shape)
             if weights is None:
-                weights = np.empty((len(_SUMS), d.grid.nx, d.grid.ny // 2 + 1))
+                weights = stacks[power.shape] = np.empty((len(_SUMS),) + power.shape)
                 for w, name in zip(weights, _SUMS):
                     _sum_weight(name, gamma, d, w)
             v = u.values
-            row = (*parseval_sums(forward_transform(u), weights), float(max(v.max(), -v.min())))
+            row = (*power_sums(u.grid, power, weights), float(max(v.max(), -v.min())))
             if memo is not None:
                 memo[gamma, d] = row
         rows[:, i] = row

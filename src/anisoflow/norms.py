@@ -3,17 +3,20 @@
 Physical L^p norms use grid quadrature (spectrally accurate for smooth
 periodic integrands) through lp_norms; every L^2-based seminorm is one
 weight of parseval_sums on the quadrature-weighted coefficients, so the
-two routes agree to roundoff.
+two routes agree to roundoff.  A caller whose weights are all even in j
+may instead fold the spectrum onto |j| once (folded_power) and take all
+its sums as one product against its weights stacked over the folded rows
+(power_sums).  Every Parseval sum takes its column weights and its
+1/(lx*ly) here.
 
 Every temporary is the call's own, so the functions keep nothing between
 calls, take no lock and may run on several threads at once.  lp_norms
 holds one real array, |u|, squared in place for its powers.
 parseval_sums walks the half lattice in blocks of nx/4 rows, so its
-temporaries are fractions of a half lattice (one half lattice for a caller
-that already holds its weights stacked over the lattice); record builds
-the cutoff chi and its two split weights block by block inside that walk.
-So record's transient peak is about one real field, which the sampler
-thread adds to the stepping's own.
+temporaries are fractions of a half lattice; record builds the cutoff chi
+and its two split weights block by block inside that walk.  So record's
+transient peak is about one real field, which the sampler thread adds to
+the stepping's own.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freqsplit import CutoffSpec
-from .spectral import PhysicalField, SpectralField, fourier_weight
+from .spectral import BandLayout, GridSpec, PhysicalField, SpectralField, fourier_weight
 from .timestepper import SimState
 
 _SUPPORTED_P = (1, 2, 4, np.inf)
@@ -97,37 +100,50 @@ def parseval_sums(v: SpectralField, weights, block_weights=None) -> list[float]:
     by Parseval.  The half lattice's columns enter with grid.column_weight.
 
     weights is a list, each of fourier_weight's shapes: a scalar, (nx, 1)
-    along x, (1, ny//2 + 1) along y, or the half lattice; or one stacked
-    array of K half lattices, shape (K, nx, ny//2 + 1).  block_weights, if
-    given, maps a slice of rows to further weights over those rows only,
+    along x, (1, ny//2 + 1) along y, or the half lattice.  block_weights,
+    if given, maps a slice of rows to further weights over those rows only,
     whose sums follow those of weights; they are never built over the
     lattice.
 
-    A list is taken in blocks of nx/4 rows.  Each block forms
+    The half lattice is taken in blocks of nx/4 rows.  Each block forms
     q = column_weight * |coeffs|^2 once and takes one dot product per
     weight, with no product array: the weight's rows against q, its x
     profile against q's row sums, its y profile against q's column sums,
-    or the scalar times q's total.  A stack already holds every weight
-    over the lattice, so it takes the whole half lattice as one block and
-    all K sums as one matrix product against q.
+    or the scalar times q's total.
     """
     g = v.grid
-    stacked = isinstance(weights, np.ndarray)
-    step = g.nx if stacked else max(1, g.nx // 4)
+    step = max(1, g.nx // 4)
     sums = 0.0
     for start in range(0, g.nx, step):
         rows = slice(start, start + step)
         q = np.abs(v.coeffs[rows])
         np.square(q, out=q)
         q *= g.column_weight
-        if stacked:
-            block = list(weights.reshape(len(weights), -1) @ q.ravel())
-        else:
-            block = [_dot(w, q, rows) for w in weights]
+        block = [_dot(w, q, rows) for w in weights]
         if block_weights is not None:
             block += [np.vdot(w, q) for w in block_weights(rows)]
         sums += np.array(block)
     return [float(x) for x in np.sqrt(sums / g.area())]
+
+
+def folded_power(band: BandLayout, b: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """column_weight * |scale * b|^2 of the band array b, its rows j and -j
+    summed onto row |j| (BandLayout.folded_abs2): a fresh array of shape
+    (band.n_folded, band.ncols), the first rows and columns of the half
+    lattice.  scale takes b to quadrature-weighted coefficients: 1 for a
+    forward_transform's, lx * ly for the unscaled band spectrum that
+    to_physical turns into the samples."""
+    p = band.folded_abs2(b)
+    p *= scale * scale * band.grid.column_weight[: band.ncols]
+    return p
+
+
+def power_sums(grid: GridSpec, power: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """parseval_sums of K weights even in j, from a folded_power: weights
+    is their stack over the folded rows and columns, shape (K,) +
+    power.shape, and all K sums are one matrix product with power."""
+    sums = weights.reshape(len(weights), -1) @ power.ravel()
+    return np.sqrt(sums / grid.area())
 
 
 def _dot(w, q, rows) -> float:

@@ -55,6 +55,16 @@ class TestCorpusGeneration:
         with pytest.raises(ValueError, match="must be an integer"):
             small_spec(**keys)
 
+    @pytest.mark.parametrize("key, keys", [
+        ("spectrum_law", {"law": "powerlaw"}),
+        ("grid", {"grid": (32, 32, TWO_PI, TWO_PI)}),
+    ])
+    def test_law_or_grid_of_another_type_rejected(self, key, keys):
+        # before the check, a string law failed later, in generate_corpus,
+        # with an AttributeError
+        with pytest.raises(ValueError, match=f"{key} must be a"):
+            small_spec(**keys)
+
     @pytest.mark.parametrize("band", [0.0, 0.7, 1.0])
     def test_band_limit_domain(self, band):
         with pytest.raises(ValueError):
@@ -349,7 +359,7 @@ class TestCorpusReport:
 class TestFieldRows:
     LEMMAS = ("lemma53", "lemma54", "gn")
 
-    def test_one_transform_per_read_only_field(self, monkeypatch):
+    def test_transform_count_by_kind_of_field(self, monkeypatch):
         calls = []
 
         def counted(u):
@@ -358,13 +368,21 @@ class TestFieldRows:
 
         monkeypatch.setattr(ineq_mod, "forward_transform", counted)
         spec = small_spec(count=6)
-        d = DissipationSpec(spec.grid, 1.5, 2.0)
         fields = generate_corpus(spec)
+        # a member brings its power spectrum: no transform for any (gamma, d)
+        for gamma in (1, 2):
+            for alphas in ((1.5, 2.0), (1.2, 1.8)):
+                for lemma in self.LEMMAS:
+                    corpus_report(fields, lemma, gamma, DissipationSpec(spec.grid, *alphas))
+        assert calls == []
+        # another read-only field is transformed once per (gamma, d)
+        others = [read_only_copy(u) for u in fields]
+        d = DissipationSpec(spec.grid, 1.5, 2.0)
         for lemma in self.LEMMAS:
-            corpus_report(fields, lemma, 1, d)
-        assert len(calls) == 6 and all(a is b for a, b in zip(calls, fields))
+            corpus_report(others, lemma, 1, d)
+        assert len(calls) == 6 and all(a is b for a, b in zip(calls, others))
         for lemma in self.LEMMAS:
-            corpus_report(fields, lemma, 2, d)
+            corpus_report(others, lemma, 2, d)
         assert len(calls) == 12
         # a writeable copy is transformed on every report
         copies = [PhysicalField(u.grid, u.values.copy()) for u in fields]
@@ -386,12 +404,17 @@ class TestFieldRows:
             before = corpus_report([u], lemma, 1, d)
             u.values[:] = b.values
             after = corpus_report([u], lemma, 1, d)
-            assert after == corpus_report([b], lemma, 1, d) != before
+            # a writeable b takes u's route, the transform, whose rounding
+            # differs from that of b's own power spectrum
+            fresh_b = PhysicalField(b.grid, b.values.copy())
+            assert after == corpus_report([fresh_b], lemma, 1, d) != before
             u.values[:] = a.values
 
     def test_read_only_rows_match_writeable_copies_bit_for_bit(self):
+        # read-only fields that are not members take the transform route,
+        # as writeable ones do, and keep their rows
         spec = small_spec(count=5, grid=GridSpec(24, 16, 3.0, 7.5))
-        fields = generate_corpus(spec)
+        fields = [read_only_copy(u) for u in generate_corpus(spec)]
         copies = [PhysicalField(u.grid, u.values.copy()) for u in fields]
         # interleaved, so each field holds every (gamma, d) row at once
         for _ in range(2):
@@ -402,3 +425,54 @@ class TestFieldRows:
                         kept = corpus_report(fields, lemma, gamma, d)
                         fresh = corpus_report(copies, lemma, gamma, d)
                         assert (kept.max, kept.mean, kept.min) == (fresh.max, fresh.mean, fresh.min)
+
+
+def read_only_copy(u):
+    """A read-only field with u's values that is not a corpus member."""
+    values = u.values.copy()
+    values.flags.writeable = False
+    return PhysicalField(u.grid, values)
+
+
+#: grids with nx != ny and lx != ly among them; each has lattice modes
+#: with |xi| = 5, the zero-width ring's shell, inside every band below
+MEMBER_GRIDS = [GridSpec(32, 32, TWO_PI, TWO_PI), GridSpec(48, 32, TWO_PI, 2.0 * TWO_PI)]
+MEMBER_LAWS = [
+    SpectrumLaw("flat"), SpectrumLaw("powerlaw", decay=1.0),
+    SpectrumLaw("ring", k0=5.0, width=0.0), SpectrumLaw("ring", k0=4.0, width=1.5),
+]
+
+
+class TestMemberPower:
+    """A corpus member's Parseval sums come from its own band spectrum."""
+
+    @pytest.mark.parametrize("band_limit", [2.0 / 3.0, 0.5, 0.3])
+    @pytest.mark.parametrize("grid", MEMBER_GRIDS)
+    @pytest.mark.parametrize("law", MEMBER_LAWS)
+    def test_reports_equal_the_transform_route(self, law, grid, band_limit):
+        spec = FieldCorpusSpec(count=6, seed=3, spectrum_law=law, band_limit=band_limit, grid=grid)
+        members = generate_corpus(spec)
+        assert all(np.any(u.values) for u in members)
+        copies = [PhysicalField(u.grid, u.values.copy()) for u in members]
+        for gamma in (1, 2):
+            for alphas in ((1.5, 2.0), (1.2, 1.8)):
+                d = DissipationSpec(grid, *alphas)
+                for lemma in TestFieldRows.LEMMAS:
+                    got = corpus_report(members, lemma, gamma, d)
+                    ref = corpus_report(copies, lemma, gamma, d)
+                    for a, b in ((got.max, ref.max), (got.mean, ref.mean), (got.min, ref.min)):
+                        assert abs(a - b) <= 1e-14 * abs(b)
+
+    @pytest.mark.parametrize("band_limit", [2.0 / 3.0, 0.3])
+    @pytest.mark.parametrize("grid", MEMBER_GRIDS)
+    def test_power_is_read_only_on_the_folded_band(self, grid, band_limit):
+        spec = FieldCorpusSpec(count=2, seed=1, spectrum_law=SpectrumLaw("flat"),
+                               band_limit=band_limit, grid=grid)
+        # rows |j| = 0 .. band_limit * nx/2 and columns k = 0 .. band_limit * ny/2
+        shape = (int(band_limit * grid.nx / 2.0) + 1, int(band_limit * grid.ny / 2.0) + 1)
+        for u in generate_corpus(spec):
+            power = vars(u)["_power"]
+            assert power.shape == shape and power.dtype == np.float64
+            assert not power.flags.writeable
+            with pytest.raises(ValueError):
+                power[0, 0] = 1.0

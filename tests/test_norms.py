@@ -14,9 +14,9 @@ from anisoflow import (
     record,
 )
 from anisoflow.freqsplit import chi0, default_mu
-from anisoflow.norms import NormSample, lp_norms, parseval_sums
+from anisoflow.norms import NormSample, folded_power, lp_norms, parseval_sums, power_sums
 from anisoflow.run import advance_to
-from anisoflow.spectral import SpectralField, fourier_weight
+from anisoflow.spectral import SpectralField, band_layout, fourier_weight
 
 from conftest import cosine_field, random_field
 
@@ -156,16 +156,20 @@ def test_parseval_sums_match_explicit_weighted_sums(nx, ny, lx, ly, seed, p):
 
 @pytest.mark.parametrize("nx, ny", [(16, 16), (32, 16), (64, 48), (64, 64)])
 def test_stacked_weights_equal_the_list_form(nx, ny):
+    # weights even in j, stacked over the folded rows |j| = 0 .. nx/2 of the
+    # whole half lattice, against the folded power of the coefficients
     grid = make_grid(nx, ny, 3.0, 7.5)
     weights = [1.0, fourier_weight(grid, 1.5, "x"), fourier_weight(grid, 2.0, "y"),
                fourier_weight(grid, 3.0),
                fourier_weight(grid, 2.0) * fourier_weight(grid, 0.5, "x")]
-    stack = np.empty((len(weights), nx, ny // 2 + 1))
+    stack = np.empty((len(weights), nx // 2 + 1, ny // 2 + 1))
     for w, weight in zip(stack, weights):
-        w[...] = weight
+        w[...] = np.broadcast_to(weight, (nx, ny // 2 + 1))[: nx // 2 + 1]
     for seed in range(4):
         v = forward_transform(random_field(grid, seed))
-        listed, stacked = parseval_sums(v, weights), parseval_sums(v, stack)
+        power = folded_power(band_layout(grid, 1), v.coeffs)
+        assert power.shape == stack.shape[1:]
+        listed, stacked = parseval_sums(v, weights), power_sums(grid, power, stack)
         assert len(stacked) == len(weights)
         for a, b in zip(listed, stacked):
             assert abs(b - a) <= 1e-15 * a
