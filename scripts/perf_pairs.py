@@ -39,7 +39,6 @@ def parse_args(argv=None):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--small", action="store_true", help="perfbench's small grids")
     p.add_argument("--out", type=Path, help="write every run's result line here as JSON")
     args = p.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0.0:
@@ -54,7 +53,7 @@ def run_once(checkout: Path, args) -> dict:
     """One perfbench run in checkout: its last stdout line, parsed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
-           "--trace", str(args.trace)] + (["--small"] if args.small else [])
+           "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           timeout=10.0 * args.seconds + 600.0)
     if proc.returncode != 0:
@@ -127,7 +126,7 @@ def main(argv=None) -> int:
     if args.out is not None:
         args.out.write_text(json.dumps({
             "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-            "trace": args.trace, "small": args.small, "failed_jobs": failed,
+            "trace": args.trace, "failed_jobs": failed,
             "attempted_jobs": attempted, "summary": summary, "runs": runs}, indent=1))
     return 0
 
