@@ -4,8 +4,9 @@ The cutoff symbol is chi = chi0(mu^-1 * (1+t) * m(xi)), with uL = chi*u and
 uH = (1 - chi)*u: its support shrinks toward the origin as t grows, so uL
 captures the algebraically decaying low-frequency core and uH the
 exponentially suppressed remainder.  norms.record takes both L^2 norms by
-Parseval from the weights chi^2 and (1 - chi)^2, which it builds one block
-of rows at a time (CutoffSpec.symbol's rows); neither part is built.
+Parseval from the weights chi^2 and (1 - chi)^2 against the state's
+spectrum folded onto |j|; chi is even in j, so record builds it over the
+folded rows and the band's columns only, and neither part is built.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .operators import DissipationSpec
 
 
 def chi0(s):
@@ -67,7 +66,8 @@ class CutoffSpec:
         if not (self.mu > 0.0 and np.isfinite(self.mu)):
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
-    def symbol(self, t: float, d: DissipationSpec, rows=slice(None)) -> np.ndarray:
-        """Cutoff multiplier chi0(mu^-1*(1+t)*m) over the given rows of the
-        half lattice, all of them by default; a fresh array."""
-        return chi0(np.multiply((1.0 + t) / self.mu, d.symbol[rows]))
+    def symbol(self, t: float, m: np.ndarray) -> np.ndarray:
+        """Cutoff multiplier chi0(mu^-1*(1+t)*m) at the dissipation symbol
+        values m: DissipationSpec.symbol, or the entries of it a caller
+        needs; a fresh array."""
+        return chi0(np.multiply((1.0 + t) / self.mu, m))

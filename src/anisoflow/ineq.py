@@ -238,9 +238,9 @@ def corpus_report(
     """Evaluate one inequality over a corpus; deterministic reduction order.
 
     Every lemma reads the same row of each field: its Parseval sums
-    (_SUMS), from one product of their weights, all even in j and stacked
-    over the folded rows, with the field's folded_power (power_sums), and
-    its physical-space sup norm, max|u| taken as max(max u, -min u), the
+    (_SUMS), taken by power_sums from the field's folded_power and their
+    weights, all even in j and stacked over the folded rows, and its
+    physical-space sup norm, max|u| taken as max(max u, -min u), the
     same float.  A generate_corpus member brings its exact power spectrum,
     so it costs no transform; any other field's power is folded from its
     forward_transform.  A read-only field keeps its row per (gamma, d)

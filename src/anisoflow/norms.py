@@ -1,32 +1,32 @@
 """Monitored norms and seminorms, and the per-sample record assembly.
 
 Physical L^p norms use grid quadrature (spectrally accurate for smooth
-periodic integrands) through lp_norms; every L^2-based seminorm is one
-weight of parseval_sums on the quadrature-weighted coefficients, so the
-two routes agree to roundoff.  A caller whose weights are all even in j
-may instead fold the spectrum onto |j| once (folded_power) and take all
-its sums as one product against its weights stacked over the folded rows
-(power_sums).  Every Parseval sum takes its column weights and its
-1/(lx*ly) here.
+periodic integrands) through lp_norms.  Every L^2-based seminorm is a
+Parseval sum over a spectrum folded onto |j| once (folded_power), which
+every weight here allows, since each is even in j: power_sums takes one
+sum per weight against that folded power, so an L^2 norm taken by
+Parseval agrees with lp_norms's to roundoff.  The sample's and the
+corpus's Parseval sums take their column weights and their 1/(lx*ly)
+here; the flux step's energy ledger applies its own.
 
 Every temporary is the call's own, so the functions keep nothing between
 calls, take no lock and may run on several threads at once.  lp_norms
-holds one real array, |u|, squared in place for its powers.
-parseval_sums walks the half lattice in blocks of nx/4 rows, so its
-temporaries are fractions of a half lattice; record builds the cutoff chi
-and its two split weights block by block inside that walk.  So record's
-transient peak is about one real field, which the sampler thread adds to
-the stepping's own.
+holds one real array, |u|, squared in place for its powers.  record folds
+the state's own band, and builds the cutoff chi and its two split weights
+over the band's folded rows and columns only, about a quarter of a real
+field each.  So record's transient peak is about one real field, which
+the sampler thread adds to the stepping's own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .freqsplit import CutoffSpec
-from .spectral import BandLayout, GridSpec, PhysicalField, SpectralField, fourier_weight
+from .spectral import BandLayout, GridSpec, PhysicalField, band_layout, fourier_weight
 from .timestepper import SimState
 
 _SUPPORTED_P = (1, 2, 4, np.inf)
@@ -94,38 +94,6 @@ def lp_norms(u: PhysicalField, ps) -> list[float]:
     return [norms[p] for p in ps]
 
 
-def parseval_sums(v: SpectralField, weights, block_weights=None) -> list[float]:
-    """sqrt(sum(weight * |coeffs|^2) / (lx * ly)) over the full lattice for
-    each weight: the L^2 norm of the multiplier weight^(1/2) applied to v,
-    by Parseval.  The half lattice's columns enter with grid.column_weight.
-
-    weights is a list, each of fourier_weight's shapes: a scalar, (nx, 1)
-    along x, (1, ny//2 + 1) along y, or the half lattice.  block_weights,
-    if given, maps a slice of rows to further weights over those rows only,
-    whose sums follow those of weights; they are never built over the
-    lattice.
-
-    The half lattice is taken in blocks of nx/4 rows.  Each block forms
-    q = column_weight * |coeffs|^2 once and takes one dot product per
-    weight, with no product array: the weight's rows against q, its x
-    profile against q's row sums, its y profile against q's column sums,
-    or the scalar times q's total.
-    """
-    g = v.grid
-    step = max(1, g.nx // 4)
-    sums = 0.0
-    for start in range(0, g.nx, step):
-        rows = slice(start, start + step)
-        q = np.abs(v.coeffs[rows])
-        np.square(q, out=q)
-        q *= g.column_weight
-        block = [_dot(w, q, rows) for w in weights]
-        if block_weights is not None:
-            block += [np.vdot(w, q) for w in block_weights(rows)]
-        sums += np.array(block)
-    return [float(x) for x in np.sqrt(sums / g.area())]
-
-
 def folded_power(band: BandLayout, b: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """column_weight * |scale * b|^2 of the band array b, its rows j and -j
     summed onto row |j| (BandLayout.folded_abs2): a fresh array of shape
@@ -138,47 +106,51 @@ def folded_power(band: BandLayout, b: np.ndarray, scale: float = 1.0) -> np.ndar
     return p
 
 
-def power_sums(grid: GridSpec, power: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """parseval_sums of K weights even in j, from a folded_power: weights
-    is their stack over the folded rows and columns, shape (K,) +
-    power.shape, and all K sums are one matrix product with power."""
-    sums = weights.reshape(len(weights), -1) @ power.ravel()
-    return np.sqrt(sums / grid.area())
+def power_sums(grid: GridSpec, power: np.ndarray, weights) -> list[float]:
+    """sqrt(sum(w * power) / (lx * ly)) for each weight w of weights: by
+    Parseval, the L^2 norm of the multiplier w^(1/2) applied to the field
+    whose folded_power is power.
 
-
-def _dot(w, q, rows) -> float:
-    """sum(w * q) for the weight w, q being the rows `rows` of the half lattice."""
-    if np.ndim(w) == 0:
-        return w * q.sum()
-    if w.shape[0] == 1:
-        return q.sum(axis=0) @ w[0]
-    if w.shape[1] == 1:
-        return q.sum(axis=1) @ w[rows, 0]
-    return np.vdot(w[rows], q)
+    Each weight is even in j and given over power's rows |j| and columns,
+    as a scalar or an array that broadcasts to power.shape: the first rows
+    and columns of a half-lattice weight, (n, 1) along x, (1, ncols) along
+    y, or one entry of a stack of weights.  The weights are broadcast in one
+    call, and each sum is one np.vdot against its weight made contiguous, a
+    copy only if it is broadcast or strided, so its bits do not depend on
+    how the weight is laid out."""
+    area = grid.area()
+    *weights, _ = np.broadcast_arrays(*weights, power)
+    return [math.sqrt(np.vdot(np.ascontiguousarray(w), power) / area) for w in weights]
 
 
 def record(s: SimState, c: CutoffSpec, gammas: list[int]) -> NormSample:
     """Assemble the full NormSample for the state s.
 
-    One |u| serves the four L^p norms and one walk of parseval_sums every
-    Parseval sum: the H^gamma and dissipation seminorms, and ||uL||_2,
-    ||uH||_2 of the low/high split as the weights chi^2 and (1 - chi)^2 of
-    the cutoff chi = c.symbol(t, d), without building uL or uH.  chi and
-    both split weights are built one block of rows at a time, within that
-    walk.  u is the state's own field (SimState.physical), so a state whose
-    field is already built costs no inverse transform here.
+    One |u| serves the four L^p norms, and one folded_power every Parseval
+    sum: the H^gamma and dissipation seminorms, and ||uL||_2, ||uH||_2 of
+    the low/high split as the weights chi^2 and (1 - chi)^2 of the cutoff
+    chi, without building uL or uH.  The power is folded from the state's
+    own band: a flux-free state's half lattice, in place, or the alias-free
+    band that a flux state is zero outside, gathered.  Every weight is taken
+    over the band's folded rows and columns only.  u is the state's own
+    field (SimState.physical), so a state whose field is already built
+    costs no inverse transform here.
     """
-    u, g, d = s.physical, s.u_hat.grid, s.dissipation
-    weights = [fourier_weight(g, 2.0 * gamma) for gamma in gammas]
-    weights += [fourier_weight(g, d.alpha1, "x"), fourier_weight(g, d.alpha2, "y")]
+    u, g, d = s.physical, s.grid, s.dissipation
     l1, l2, l4, linf = lp_norms(u, _SUPPORTED_P)
-
-    def split(rows):
-        chi = c.symbol(s.t, d, rows)
-        high = np.subtract(1.0, chi)
-        return np.square(chi, out=chi), np.square(high, out=high)
-
-    *hg, diss_x, diss_y, ul_l2, uh_l2 = parseval_sums(s.u_hat, weights, split)
+    if s.flux is None:
+        band, b = band_layout(g, 1), s.u_hat.coeffs
+    else:
+        band = band_layout(g, s.flux.dealias_denom)
+        b = band.gather(s.u_hat.coeffs)
+    power = folded_power(band, b)
+    n, k = power.shape
+    weights = [fourier_weight(g, 2.0 * gamma)[:n, :k] for gamma in gammas]
+    weights += [fourier_weight(g, d.alpha1, "x")[:n], fourier_weight(g, d.alpha2, "y")[:, :k]]
+    chi = c.symbol(s.t, d.symbol[:n, :k])
+    high = np.subtract(1.0, chi)
+    weights += [np.square(chi, out=chi), np.square(high, out=high)]
+    *hg, diss_x, diss_y, ul_l2, uh_l2 = power_sums(g, power, weights)
     return NormSample(
         t=s.t,
         l1=l1,

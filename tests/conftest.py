@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from anisoflow import GridSpec, PhysicalField
-from anisoflow.spectral import SpectralField
+from anisoflow.norms import folded_power, power_sums
+from anisoflow.spectral import SpectralField, band_layout
 
 TWO_PI = 2.0 * np.pi
 
@@ -54,3 +55,15 @@ def single_mode_spectrum(grid: GridSpec, kx: int, ky: int, amplitude: float = 1.
 def spectral_energy(v: SpectralField) -> float:
     """sum(|coeffs|^2) / (lx * ly) over the full lattice, from the half one."""
     return float(np.sum(v.grid.column_weight * np.abs(v.coeffs) ** 2) / v.grid.area())
+
+
+def parseval(v: SpectralField, weights, denom: int = 1) -> list[float]:
+    """The Parseval sums of v for weights even in j, through the package's
+    one route: v's spectrum on band_layout(grid, denom), the whole half
+    lattice by default, folded onto |j| (folded_power), and each weight, a
+    scalar or an array over the half lattice's rows or columns, cut to the
+    folded rows and the band's columns (power_sums)."""
+    band = band_layout(v.grid, denom)
+    power = folded_power(band, band.gather(v.coeffs))
+    n, k = power.shape
+    return power_sums(v.grid, power, [np.atleast_2d(w)[:n, :k] for w in weights])

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from anisoflow import CutoffSpec, DissipationSpec, SimState, forward_transform, record
 from anisoflow.freqsplit import chi0, default_mu
-from anisoflow.norms import parseval_sums
 from anisoflow.spectral import SpectralField
-from conftest import random_field
+from conftest import parseval, random_field
 
 
 class TestChi0:
@@ -122,9 +121,9 @@ class TestSplit:
         c = CutoffSpec(default_mu(1.5, 2.0))
         v = forward_transform(random_field(grid32, 0))
         ul, uh, _ = self.split_norms(v, 3.0, c, d)
-        low = c.symbol(3.0, d) * v.coeffs
+        low = c.symbol(3.0, d.symbol) * v.coeffs
         high = v.coeffs - low
-        expected = [parseval_sums(SpectralField(grid32, part), [1.0])[0] for part in (low, high)]
+        expected = [parseval(SpectralField(grid32, part), [1.0])[0] for part in (low, high)]
         assert 0.0 < uh and 0.0 < ul
         assert [ul, uh] == pytest.approx(expected, rel=1e-13, abs=0.0)
 
@@ -138,7 +137,7 @@ class TestSplit:
         zero_mode = np.zeros(v.coeffs.shape)
         zero_mode[0, 0] = 1.0
         # uL keeps the zero mode alone, and uH every other mode
-        assert [ul, uh] == parseval_sums(v, [zero_mode, 1.0 - zero_mode])
+        assert [ul, uh] == parseval(v, [zero_mode, 1.0 - zero_mode])
         assert ul == pytest.approx(abs(v.coeffs[0, 0]) / np.sqrt(grid16.area()), rel=1e-15)
 
     def test_huge_mu_keeps_everything_low(self, grid16):
@@ -147,7 +146,7 @@ class TestSplit:
         v = forward_transform(random_field(grid16, 2))
         ul, uh, _ = self.split_norms(v, 0.0, CutoffSpec(mu), d)
         assert uh == 0.0
-        assert ul == parseval_sums(v, [1.0])[0]
+        assert ul == parseval(v, [1.0])[0]
 
     def test_pythagoras_with_transition_slack(self, grid32):
         d = DissipationSpec(grid32, 1.5, 2.0)

@@ -16,10 +16,9 @@ from anisoflow import (
 )
 import anisoflow.ineq as ineq_mod
 from anisoflow.ineq import DegenerateSampleError
-from anisoflow.norms import parseval_sums
 from anisoflow.spectral import BandLayout, fourier_weight
 
-from conftest import TWO_PI, cosine_field, random_field
+from conftest import TWO_PI, cosine_field, parseval, random_field
 
 
 def small_spec(seed=1, count=8, law=None, grid=None):
@@ -90,7 +89,7 @@ class TestCorpusGeneration:
         for gamma in (1.0, 2.0):
             for f in generate_corpus(spec):
                 v = forward_transform(f)
-                hg, l2 = parseval_sums(v, [fourier_weight(v.grid, 2.0 * gamma), 1.0])
+                hg, l2 = parseval(v, [fourier_weight(v.grid, 2.0 * gamma), 1.0])
                 ratio = hg / l2
                 assert ratio == pytest.approx(5.0 ** gamma, rel=1e-12)
 

@@ -14,21 +14,21 @@ from anisoflow import (
     record,
 )
 from anisoflow.freqsplit import chi0, default_mu
-from anisoflow.norms import NormSample, folded_power, lp_norms, parseval_sums, power_sums
+from anisoflow.norms import NormSample, folded_power, lp_norms, power_sums
 from anisoflow.run import advance_to
 from anisoflow.spectral import SpectralField, band_layout, fourier_weight
 
-from conftest import cosine_field, random_field
+from conftest import cosine_field, parseval, random_field
 
 
 def hgamma(v, gamma):
     """||(xi1^2 + xi2^2)^(gamma/2) v||_2 through the one Parseval route."""
-    return parseval_sums(v, [fourier_weight(v.grid, 2.0 * gamma)])[0]
+    return parseval(v, [fourier_weight(v.grid, 2.0 * gamma)])[0]
 
 
 def directional(v, axis, beta):
     """||xi_axis|^beta v||_2 through the one Parseval route."""
-    return parseval_sums(v, [fourier_weight(v.grid, 2.0 * beta, axis)])[0]
+    return parseval(v, [fourier_weight(v.grid, 2.0 * beta, axis)])[0]
 
 
 class TestLpNorm:
@@ -145,34 +145,35 @@ def test_parseval_sums_match_explicit_weighted_sums(nx, ny, lx, ly, seed, p):
 
     weights = [1.0, fourier_weight(grid, 2 * p), fourier_weight(grid, 2 * p, "x"),
                fourier_weight(grid, 2 * p, "y")]
-    one, hg, dx, dy = parseval_sums(v, weights)
+    one, hg, dx, dy = parseval(v, weights)
     assert one == pytest.approx(lp_norms(u, (2,))[0], rel=1e-12)
     assert hg == pytest.approx(explicit((k1 ** 2 + k2 ** 2) ** p), rel=1e-12)
     assert dx == pytest.approx(explicit(np.abs(k1) ** (2 * p)), rel=1e-12)
     assert dy == pytest.approx(explicit(np.abs(k2) ** (2 * p)), rel=1e-12)
-    # one |coeffs|^2 serves every weight: each sum is the float it is alone
-    assert [parseval_sums(v, [w])[0] for w in weights] == [one, hg, dx, dy]
+    # one folded power serves every weight: each sum is the float it is alone
+    assert [parseval(v, [w])[0] for w in weights] == [one, hg, dx, dy]
 
 
 @pytest.mark.parametrize("nx, ny", [(16, 16), (32, 16), (64, 48), (64, 64)])
 def test_stacked_weights_equal_the_list_form(nx, ny):
-    # weights even in j, stacked over the folded rows |j| = 0 .. nx/2 of the
-    # whole half lattice, against the folded power of the coefficients
+    # weights even in j over the folded rows |j| = 0 .. nx/2 of the whole
+    # half lattice: power_sums gives the same bits for the broadcastable
+    # weights as for their copies stacked into one array
     grid = make_grid(nx, ny, 3.0, 7.5)
-    weights = [1.0, fourier_weight(grid, 1.5, "x"), fourier_weight(grid, 2.0, "y"),
-               fourier_weight(grid, 3.0),
-               fourier_weight(grid, 2.0) * fourier_weight(grid, 0.5, "x")]
-    stack = np.empty((len(weights), nx // 2 + 1, ny // 2 + 1))
+    n = nx // 2 + 1
+    weights = [1.0, fourier_weight(grid, 1.5, "x")[:n], fourier_weight(grid, 2.0, "y"),
+               fourier_weight(grid, 3.0)[:n],
+               fourier_weight(grid, 2.0)[:n] * fourier_weight(grid, 0.5, "x")[:n]]
+    stack = np.empty((len(weights), n, ny // 2 + 1))
     for w, weight in zip(stack, weights):
-        w[...] = np.broadcast_to(weight, (nx, ny // 2 + 1))[: nx // 2 + 1]
+        w[...] = weight
     for seed in range(4):
         v = forward_transform(random_field(grid, seed))
         power = folded_power(band_layout(grid, 1), v.coeffs)
         assert power.shape == stack.shape[1:]
-        listed, stacked = parseval_sums(v, weights), power_sums(grid, power, stack)
+        listed, stacked = power_sums(grid, power, weights), power_sums(grid, power, stack)
         assert len(stacked) == len(weights)
-        for a, b in zip(listed, stacked):
-            assert abs(b - a) <= 1e-15 * a
+        assert listed == stacked
 
 
 def make_sim_state(grid, values, alpha1=2.0, alpha2=2.0, t=0.0):
@@ -207,35 +208,46 @@ class TestRecord:
 
     @pytest.mark.parametrize("flux", [FluxSpec(1), None])
     def test_bit_identical_to_standalone_route(self, flux):
-        grid = make_grid(64, 64, 2.0 * np.pi, 2.0 * np.pi)
-        d = DissipationSpec(grid, 1.5, 2.0)
-        u0 = forward_transform(random_field(grid, 17, band_denom=3))
-        s = advance_to(SimState(0.0, u0, d, flux), 0.25, 0.5)
-        c = CutoffSpec(default_mu(1.5, 2.0))
-        gammas = [1, 2, 3]
-        sample = record(s, c, gammas)
+        # a square grid, and one whose sides are unequal and not multiples
+        # of 3 in an unequal box: the flux band's fold edge, n_pos = n_neg + 1
+        # rows, and the Nyquist row of the flux-free fold
+        for grid in (make_grid(64, 64, 2.0 * np.pi, 2.0 * np.pi),
+                     make_grid(40, 50, 3.0 * np.pi, 5.0 * np.pi)):
+            d = DissipationSpec(grid, 1.5, 2.0)
+            u0 = forward_transform(random_field(grid, 17, band_denom=3))
+            s = advance_to(SimState(0.0, u0, d, flux), 0.25, 0.5)
+            c = CutoffSpec(default_mu(1.5, 2.0))
+            gammas = [1, 2, 3]
+            sample = record(s, c, gammas)
 
-        u = s.physical
-        assert [sample.l1, sample.l2, sample.l4, sample.linf] == \
-            lp_norms(u, (1, 2, 4, np.inf))
-        weights = [fourier_weight(grid, 2.0 * g) for g in gammas]
-        weights += [fourier_weight(grid, d.alpha1, "x"), fourier_weight(grid, d.alpha2, "y")]
-        *hg, diss_x, diss_y = parseval_sums(s.u_hat, weights)
-        assert sample.hgamma == dict(zip(gammas, hg))
-        assert (sample.diss_x, sample.diss_y) == (diss_x, diss_y)
-        chi = c.symbol(s.t, d)
-        assert [sample.ul_l2, sample.uh_l2] == parseval_sums(s.u_hat, [chi * chi, (1.0 - chi) ** 2])
+            u = s.physical
+            assert [sample.l1, sample.l2, sample.l4, sample.linf] == \
+                lp_norms(u, (1, 2, 4, np.inf))
+            denom = 1 if flux is None else flux.dealias_denom
+            band = band_layout(grid, denom)
+            chi = c.symbol(s.t, d.symbol[: band.n_folded, : band.ncols])
+            weights = [fourier_weight(grid, 2.0 * g) for g in gammas]
+            weights += [fourier_weight(grid, d.alpha1, "x"), fourier_weight(grid, d.alpha2, "y"),
+                        chi * chi, (1.0 - chi) ** 2]
+            *hg, diss_x, diss_y, ul, uh = parseval(s.u_hat, weights, denom)
+            assert sample.hgamma == dict(zip(gammas, hg))
+            assert (sample.diss_x, sample.diss_y, sample.ul_l2, sample.uh_l2) == \
+                (diss_x, diss_y, ul, uh)
 
-        # ||chi*u||_2 and ||(1-chi)*u||_2 summed over the full fft2 lattice
-        k1, k2, coeffs = full_lattice(grid, u.values)
-        chi_full = chi0((1.0 + s.t) / c.mu * (np.abs(k1) ** d.alpha1 + np.abs(k2) ** d.alpha2))
-        abs2 = np.abs(coeffs) ** 2
-        ul = np.sqrt(np.sum(chi_full ** 2 * abs2) / grid.area())
-        uh = np.sqrt(np.sum((1.0 - chi_full) ** 2 * abs2) / grid.area())
-        assert sample.ul_l2 == pytest.approx(ul, rel=1e-13, abs=0.0)
-        assert sample.uh_l2 == pytest.approx(uh, rel=1e-13, abs=0.0)
-        # the split is nontrivial, so both halves carry weight
-        assert 0.0 < sample.uh_l2 < sample.l2 and 0.0 < sample.ul_l2 < sample.l2
+            # every Parseval column summed over the full fft2 lattice
+            k1, k2, coeffs = full_lattice(grid, u.values)
+            chi_full = chi0((1.0 + s.t) / c.mu * (np.abs(k1) ** d.alpha1 + np.abs(k2) ** d.alpha2))
+            abs2 = np.abs(coeffs) ** 2
+            oracle = [(k1 ** 2 + k2 ** 2) ** g for g in gammas]
+            oracle += [np.abs(k1) ** d.alpha1, np.abs(k2) ** d.alpha2,
+                       chi_full ** 2, (1.0 - chi_full) ** 2]
+            columns = [sample.hgamma[g] for g in gammas]
+            columns += [sample.diss_x, sample.diss_y, sample.ul_l2, sample.uh_l2]
+            for value, w in zip(columns, oracle, strict=True):
+                expected = np.sqrt(np.sum(w * abs2) / grid.area())
+                assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+            # the split is nontrivial, so both halves carry weight
+            assert 0.0 < sample.uh_l2 < sample.l2 and 0.0 < sample.ul_l2 < sample.l2
 
     def test_interpolation_sanity_enforced(self):
         with pytest.raises(ValueError):

@@ -10,11 +10,11 @@ from anisoflow import (
     inverse_transform,
     make_grid,
 )
-from anisoflow.norms import lp_norms, parseval_sums
+from anisoflow.norms import lp_norms
 from anisoflow.operators import nonlinear_coeffs
 from anisoflow.spectral import SpectralField, band_layout, fourier_weight
 
-from conftest import keep_mask, random_field, single_mode_spectrum
+from conftest import keep_mask, parseval, random_field, single_mode_spectrum
 
 
 class TestDissipationSpec:
@@ -106,9 +106,9 @@ class TestIsotropic:
     def test_parseval_composition_agreement(self, grid32):
         v = forward_transform(random_field(grid32, 3))
         gamma = 1.5
-        (direct,) = parseval_sums(v, [fourier_weight(grid32, 2.0 * gamma)])
+        (direct,) = parseval(v, [fourier_weight(grid32, 2.0 * gamma)])
         multiplied = SpectralField(grid32, v.coeffs * fourier_weight(grid32, gamma))
-        assert parseval_sums(multiplied, [1.0])[0] == pytest.approx(direct, rel=1e-12)
+        assert parseval(multiplied, [1.0])[0] == pytest.approx(direct, rel=1e-12)
 
 
 class TestFluxSpec:

@@ -28,14 +28,15 @@ from anisoflow import (
 from anisoflow import timestepper
 from anisoflow.config import RandomBlobIC
 from anisoflow.errors import BlowUpError
-from anisoflow.norms import lp_norms, parseval_sums
+from anisoflow.norms import lp_norms
 from anisoflow.operators import nonlinear_coeffs
 from anisoflow.run import advance_to
 from anisoflow.spectral import SpectralField, band_layout, fourier_weight
 from anisoflow.timestepper import (
     _F_SERIES, _G_SERIES, _Z_FIT, _Z_SERIES, _ledger_weights, _step_factors)
 
-from conftest import TWO_PI, keep_mask, random_field, single_mode_spectrum, spectral_energy
+from conftest import (TWO_PI, keep_mask, parseval, random_field, single_mode_spectrum,
+                      spectral_energy)
 
 
 def make_state(grid, alpha1=2.0, alpha2=2.0, flux_kappa=1, seed=0, band=True):
@@ -153,8 +154,8 @@ class TestStepNonlinear:
             times.append(s.t)
             l2sq.append(spectral_energy(s.u_hat))
             d = s.dissipation
-            dx, dy = parseval_sums(s.u_hat, [fourier_weight(d.grid, d.alpha1, "x"),
-                                             fourier_weight(d.grid, d.alpha2, "y")])
+            dx, dy = parseval(s.u_hat, [fourier_weight(d.grid, d.alpha1, "x"),
+                                        fourier_weight(d.grid, d.alpha2, "y")])
             diss.append(dx ** 2 + dy ** 2)
 
         push(state)

@@ -22,9 +22,11 @@ from anisoflow import (
     step_ifrk4,
 )
 from anisoflow import timestepper
-from anisoflow.norms import lp_norms, parseval_sums
+from anisoflow.norms import lp_norms
 from anisoflow.operators import nonlinear_coeffs
 from anisoflow.spectral import SpectralField, band_layout, fourier_weight
+
+from conftest import parseval
 
 N = 128
 
@@ -69,14 +71,18 @@ class TestAllocationBudget:
 
     @pytest.mark.parametrize("t", [0.0, 0.5, 3.0])
     def test_record_peak_is_about_one_real_field(self, grid, t):
-        # measured at 128^2 (numpy 2.4): 1.015, 1.014 and 1.014 real fields
-        # at t = 0, 0.5 and 3, nearly all of it lp_norms's |u|, squared in
-        # place for its powers; parseval_sums holds two blocks of nx/4 rows
-        # of |u_hat|^2 at most (0.27 real fields when called alone), and
-        # the field is the state's own, built by the warm-up call.  0.31,
-        # 0.25 and 0.17 when every temporary lived in a resident per-grid
-        # workspace, 4.06 when each was allocated over the whole lattice
-        # per call.  Margin 25% of one field.
+        # measured at 128^2 (numpy 2.4): 1.050, 1.049 and 1.049 real fields
+        # at t = 0, 0.5 and 3.  The Parseval part sets the peak: record
+        # folds the half lattice onto |j| in place, a quarter of a field, and
+        # its sums alone peak at 1.048, with the folded power, chi^2,
+        # (1 - chi)^2 and the contiguous copy of one broadcast weight live
+        # at once; lp_norms's |u|, squared in place for its powers, peaks at
+        # 1.011 before them, and the field is the state's own, built by the
+        # warm-up call.  1.015 when the sums walked the half lattice in
+        # blocks of nx/4 rows, 0.31, 0.25 and 0.17 when every temporary
+        # lived in a resident per-grid workspace, 4.06 when each was
+        # allocated over the whole lattice per call.  Margin 25% of one
+        # field.
         s = gaussian_state(grid, t, kappa=None)
         peak = transient_peak(lambda: record(s, CutoffSpec(4.0), [1, 2]))
         assert peak <= 1.25 * self.REAL, f"{peak / self.REAL:.3f} real fields"
@@ -192,7 +198,7 @@ class TestPerThread:
 
         def primitives():
             return (lp_norms(lone.physical, (1, 2, 4, np.inf)),
-                    parseval_sums(lone.u_hat, weights))
+                    parseval(lone.u_hat, weights))
 
         serial_primitives = primitives()
         threaded = [[] for _ in amplitudes]
