@@ -23,8 +23,9 @@ class GaussianIC:
 
 @dataclass(frozen=True)
 class RandomBlobIC:
-    """Seeded random-phase field, band-limited to `band` of Nyquist,
-    rescaled so max|u0| = amplitude."""
+    """Seeded random-phase field with unit Fourier moduli, band-limited to
+    `band` of Nyquist (one member of a flat generate_corpus), rescaled so
+    max|u0| = amplitude."""
 
     seed: int
     amplitude: float

@@ -29,8 +29,6 @@ from .freqsplit import CutoffSpec
 from .spectral import BandLayout, GridSpec, PhysicalField, band_layout, fourier_weight
 from .timestepper import SimState
 
-_SUPPORTED_P = (1, 2, 4, np.inf)
-
 
 @dataclass(frozen=True)
 class NormSample:
@@ -71,27 +69,23 @@ class NormSample:
             raise ValueError("norm sample violates l2^2 <= l1*linf")
 
 
-def lp_norms(u: PhysicalField, ps) -> list[float]:
-    """Quadrature L^p norms for each p in ps, from one |u|; p in {1, 2, 4, inf}.
+def lp_norms(u: PhysicalField) -> tuple[float, float, float, float]:
+    """Quadrature (l1, l2, l4, linf) norms of u, from one |u|.
 
-    |u| is squared in place for p = 2 and again for p = 4, so the call
-    holds one real array of its own.  Squaring also beats np.power(a, 4),
-    which goes through libm pow: several times slower, slowest on
-    underflowing tails.
+    linf is read first; |u| is then squared in place for l2 and again for
+    l4, so the call holds one real array of its own.  Squaring also beats
+    np.power(a, 4), which goes through libm pow: several times slower,
+    slowest on underflowing tails.
     """
-    for p in ps:
-        if p not in _SUPPORTED_P:
-            raise ValueError(f"unsupported p={p}; monitored set is {{1, 2, 4, inf}}")
     cell = u.grid.cell_area()
     a = np.abs(u.values)
-    norms = {np.inf: float(a.max())} if np.inf in ps else {}
-    power = 1
-    for p in sorted({p for p in ps if p != np.inf}):
-        while power < p:
-            np.square(a, out=a)
-            power *= 2
-        norms[p] = float((np.sum(a) * cell) ** (1.0 / p))
-    return [norms[p] for p in ps]
+    linf = float(a.max())
+    l1 = float(np.sum(a) * cell)
+    np.square(a, out=a)
+    l2 = float((np.sum(a) * cell) ** 0.5)
+    np.square(a, out=a)
+    l4 = float((np.sum(a) * cell) ** 0.25)
+    return l1, l2, l4, linf
 
 
 def folded_power(band: BandLayout, b: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -137,7 +131,7 @@ def record(s: SimState, c: CutoffSpec, gammas: list[int]) -> NormSample:
     costs no inverse transform here.
     """
     u, g, d = s.physical, s.grid, s.dissipation
-    l1, l2, l4, linf = lp_norms(u, _SUPPORTED_P)
+    l1, l2, l4, linf = lp_norms(u)
     if s.flux is None:
         band, b = band_layout(g, 1), s.u_hat.coeffs
     else:

@@ -10,6 +10,7 @@ import numpy as np
 from .config import GaussianIC, RandomBlobIC, RunConfig, SingleModeIC
 from .errors import BlowUpError
 from .freqsplit import CutoffSpec
+from .ineq import FieldCorpusSpec, SpectrumLaw, generate_corpus
 from .io import checkpoint_write, write_timeseries
 from .norms import NormSample, record
 from .operators import DissipationSpec, FluxSpec
@@ -38,20 +39,10 @@ def synthesize_ic(cfg: RunConfig, grid: GridSpec) -> PhysicalField:
         )
         return PhysicalField(grid, ic.amplitude * np.cos(phase))
     if isinstance(ic, RandomBlobIC):
-        rng = np.random.default_rng(ic.seed)
-        # phases drawn over the full lattice; the real part of the inverse
-        # transform symmetrizes the spectrum
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(grid.nx, grid.ny))
-        keep_x = np.abs(grid.jx) <= ic.band * grid.nx / 2.0
-        jy = np.fft.fftfreq(grid.ny, d=1.0 / grid.ny).astype(np.int64)
-        keep_y = np.abs(jy) <= ic.band * grid.ny / 2.0
-        c = np.where(keep_x[:, None] & keep_y[None, :], np.exp(1j * phases), 0.0)
-        c[0, 0] = 0.0
-        values = np.fft.ifft2(c).real
-        peak = np.max(np.abs(values))
-        if peak > 0.0:
-            values *= ic.amplitude / peak
-        return PhysicalField(grid, values)
+        # one member of a flat corpus: unit moduli on the band, random phases
+        (u,) = generate_corpus(FieldCorpusSpec(1, ic.seed, SpectrumLaw("flat"), ic.band, grid))
+        peak = np.max(np.abs(u.values))
+        return PhysicalField(grid, u.values * (ic.amplitude / peak if peak > 0.0 else 0.0))
     raise TypeError(f"unsupported initial condition {type(ic).__name__}")
 
 

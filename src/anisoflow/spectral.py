@@ -24,12 +24,13 @@ the half lattice once per step.  The layout is the one owner of the band's
 row order: truncation to the band, the fold onto |j| that the energy
 ledger sums over, the flux's transform pair, which runs its x-transforms
 on the band's columns only, and the inequality lab's corpus, which
-synthesizes its band-limited fields on a BandLayout of its own band, all
-go through it.
+synthesizes its band-limited fields (the random-blob initial data among
+them) on a BandLayout of its own band, all go through it.
 
 Every transform runs on numpy.fft's pocketfft, single-threaded, and gives
 the bits of scipy.fft's rfft2 and irfft2; the tests hold it to that.  The
-one inverse kernel is to_physical, unscaled: inverse_transform runs it on
+package's FFTs are those of _rfft2 and to_physical alone.  The only
+inverse is to_physical, unscaled: inverse_transform runs it on
 band_layout(grid, 1), the whole half lattice, then scales by 1/(nx*ny),
 scipy's single factor, and 1/cell_area.  A flux state, which SimState
 keeps on its band, builds its field with to_physical and one scaling by

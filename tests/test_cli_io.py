@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from anisoflow import (
     DissipationSpec,
+    FieldCorpusSpec,
     FluxSpec,
     GaussianIC,
     PhysicalField,
@@ -24,6 +25,7 @@ from anisoflow import (
     checkpoint_read,
     energy_audit,
     forward_transform,
+    generate_corpus,
     inverse_transform,
     load_config,
     make_grid,
@@ -95,6 +97,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(write_cfg(tmp_path, "nx = 64\nnx = 32\n"))
 
+    def test_empty_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=":2: empty key$"):
+            load_config(write_cfg(tmp_path, "nx = 64\n = 3\n"))
+
+    def test_boolean_words(self, tmp_path):
+        for word, value in (("true", True), ("Off", False)):
+            text = f"nonlinearity_enabled = {word}\n"
+            assert load_config(write_cfg(tmp_path, text)).nonlinearity_enabled is value
+        with pytest.raises(ConfigError, match="'nonlinearity_enabled': not a boolean: 'maybe'"):
+            load_config(write_cfg(tmp_path, "nonlinearity_enabled = maybe\n"))
+
     def test_bad_value_names_key(self, tmp_path):
         with pytest.raises(ConfigError, match="t_end"):
             load_config(write_cfg(tmp_path, "t_end = soon\n"))
@@ -107,6 +120,8 @@ class TestLoadConfig:
         for bad in ("gaussian(1)", "blob(1,2,3)", "gaussian", "single_mode(1,2)"):
             with pytest.raises(ValueError):
                 parse_ic(bad)
+        with pytest.raises(ValueError, match="malformed initial condition 'gaussian\\(1,'"):
+            parse_ic("gaussian(1,")
 
     @pytest.mark.parametrize("ic,what", [
         ("gaussian(1, 1, nan, 0)", "center"),
@@ -154,11 +169,18 @@ class TestLoadConfig:
         ("cfl_safety", 1.5, "1.5"),
         ("gammas", (0, 1), "0,1"),
         ("ic", GaussianIC(1.0, -1.0), "gaussian(1, -1)"),
+        ("t_end", 0.0, "0"),
+        ("sample_every", -0.5, "-0.5"),
         ("ic", RandomBlobIC(-1, 1.0, 0.5), "random_blob(-1, 1, 0.5)"),
+        # the blob is a generate_corpus member, whose band limit is (0, 2/3]
+        ("ic", RandomBlobIC(1, 1.0, 0.7), "random_blob(1, 1, 0.7)"),
         # on 32^2 the flux keeps |j| < 32/3; the mode would run from zero
         ("ic", SingleModeIC(15, 0, 1.0), "single_mode(15, 0, 1)"),
-    ], ids=["nx", "alpha1", "kappa", "mu", "cfl_safety", "gammas", "gaussian-radius",
-            "random_blob-seed", "single_mode-outside-band"])
+        # and the lattice itself stops at 32/2 - 1
+        ("ic", SingleModeIC(0, 16, 1.0), "single_mode(0, 16, 1)"),
+    ], ids=["nx", "alpha1", "kappa", "mu", "cfl_safety", "gammas", "t_end", "sample_every",
+            "gaussian-radius", "random_blob-seed", "random_blob-band", "single_mode-outside-band",
+            "single_mode-beyond-lattice"])
     def test_direct_config_rejected_as_from_a_file(self, tmp_path, key, value, raw):
         # a RunConfig checks itself, so code and files share one rule and
         # one message, which names the key
@@ -291,6 +313,60 @@ class TestRunSimulation:
         assert [s.t for s in flushed] == [0.0, 0.25, 0.5]
 
 
+class TestRandomBlobIC:
+    """random_blob data are one member of a flat corpus, rescaled."""
+
+    GRIDS = [make_grid(32, 32, TWO_PI, TWO_PI), make_grid(48, 32, TWO_PI, 2.0 * TWO_PI)]
+
+    @staticmethod
+    def blob(grid, seed, amplitude, band):
+        cfg = RunConfig(nx=grid.nx, ny=grid.ny, lx=grid.lx, ly=grid.ly,
+                        ic=RandomBlobIC(seed, amplitude, band))
+        return synthesize_ic(cfg, grid).values
+
+    @pytest.mark.parametrize("band", [0.25, 0.5, 2.0 / 3.0])
+    @pytest.mark.parametrize("grid", GRIDS, ids=["32x32", "48x32"])
+    def test_is_the_flat_corpus_member_rescaled(self, grid, band):
+        for seed, amplitude in ((0, 1.0), (7, 0.3), (12345, -2.5)):
+            u = self.blob(grid, seed, amplitude, band)
+            (member,) = generate_corpus(FieldCorpusSpec(1, seed, SpectrumLaw("flat"), band, grid))
+            peak = np.max(np.abs(member.values))
+            assert u.tobytes() == (member.values * (amplitude / peak)).tobytes()
+            assert np.max(np.abs(u)) == pytest.approx(abs(amplitude), rel=1e-15)
+            assert abs(np.mean(u)) <= 1e-15 * abs(amplitude)
+
+    @pytest.mark.parametrize("band", [0.25, 0.5, 2.0 / 3.0])
+    @pytest.mark.parametrize("grid", GRIDS, ids=["32x32", "48x32"])
+    def test_unit_moduli_on_the_band_and_zero_outside(self, grid, band):
+        # the band |j| <= band*nx/2, k <= band*ny/2 without the mean: one
+        # modulus on it, and nothing but the forward transform's rounding off it
+        band_mask = ((np.abs(grid.jx) <= band * grid.nx / 2.0)[:, None]
+                     & (grid.jy <= band * grid.ny / 2.0)[None, :])
+        band_mask[0, 0] = False
+        c = np.abs(forward_transform(PhysicalField(grid, self.blob(grid, 3, 1.0, band))).coeffs)
+        on = c[band_mask]
+        assert np.max(on) - np.min(on) <= 1e-13 * np.max(on)
+        assert np.max(c[~band_mask]) <= 1e-14 * np.max(on)
+
+    def test_deterministic_per_seed(self):
+        grid = self.GRIDS[1]
+        a, b, other = (self.blob(grid, seed, 1.0, 0.5) for seed in (5, 5, 6))
+        assert a.tobytes() == b.tobytes()
+        assert not np.array_equal(a, other)
+
+    def test_a_band_holding_only_the_mean_gives_zero(self):
+        grid = self.GRIDS[0]
+        assert not np.any(self.blob(grid, 1, 1.0, 0.01))
+
+    def test_takes_no_two_dimensional_fft(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the blob is synthesized through its band layout")
+
+        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+            monkeypatch.setattr(np.fft, name, forbidden)
+        assert np.any(self.blob(self.GRIDS[0], 1, 1.0, 0.5))
+
+
 class TestTimeseriesIO:
     def test_empty_series_header_only(self, tmp_path):
         path = str(tmp_path / "empty.csv")
@@ -342,6 +418,12 @@ class TestTimeseriesIO:
         p = tmp_path / "bad.csv"
         p.write_text("time,l2\n0,1\n")
         with pytest.raises(ValueError):
+            read_timeseries(str(p))
+
+    def test_read_rejects_a_row_of_another_width(self, tmp_path):
+        p = tmp_path / "short.csv"
+        p.write_text("t,l1,l2,l4,linf,diss_x,diss_y,ul_l2,uh_l2\n0,1,1,1,1,0,0,1\n")
+        with pytest.raises(ValueError, match="row width 8 != header width 9"):
             read_timeseries(str(p))
 
 
@@ -407,6 +489,12 @@ class TestCheckpoint:
         p = tmp_path / "junk.ckpt"
         p.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
         with pytest.raises(CheckpointError, match="magic"):
+            checkpoint_read(str(p))
+
+    def test_truncated_header_detected(self, tmp_path):
+        p = tmp_path / "head.ckpt"
+        p.write_bytes(b"ANISOFL1" + b"\x00" * 20)
+        with pytest.raises(CheckpointError, match="truncated checkpoint header"):
             checkpoint_read(str(p))
 
     def test_truncation_detected(self, tmp_path):
@@ -831,3 +919,28 @@ class TestPackage:
         assert len(defined) > 60
         assert sorted(f"{where}: {name}" for name, where in defined.items()
                       if name not in used) == []
+
+    def test_fft_calls_sit_in_the_band_transform_pair(self):
+        # every field the package builds comes through _rfft2 and
+        # BandLayout.to_physical; GridSpec.jx takes the lattice indices
+        import ast
+
+        def fft_attrs(node):
+            return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                    and isinstance(n.value, ast.Attribute) and n.value.attr == "fft"]
+
+        calls = set()
+        for path in sorted((ROOT / "src" / "anisoflow").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            scopes = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+            scopes += [(f"{c.name}.{f.name}", f) for c in tree.body if isinstance(c, ast.ClassDef)
+                       for f in c.body if isinstance(f, ast.FunctionDef)]
+            scoped = [(f"{path.name}: {name}", a) for name, scope in scopes
+                      for a in fft_attrs(scope)]
+            # none outside a function or method
+            assert len(scoped) == len(fft_attrs(tree)), path.name
+            calls.update(scoped)
+        assert calls == {("spectral.py: _rfft2", "rfft"), ("spectral.py: _rfft2", "fft"),
+                         ("spectral.py: BandLayout.to_physical", "ifft"),
+                         ("spectral.py: BandLayout.to_physical", "irfft"),
+                         ("spectral.py: GridSpec.jx", "fftfreq")}

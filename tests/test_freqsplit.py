@@ -173,7 +173,7 @@ def small_run():
         RunConfig(nx=128, ny=128, lx=grid.lx, ly=grid.ly, ic=GaussianIC(1.0, 2.0)),
         grid,
     )
-    amp = 1.0 / lp_norms(raw, (1,))[0]
+    amp = 1.0 / lp_norms(raw)[0]
     cfg = RunConfig(
         nx=128, ny=128, lx=grid.lx, ly=grid.ly, alpha1=a1, alpha2=a2,
         t_end=30.0, sample_every=0.5, ic=GaussianIC(amp, 2.0),

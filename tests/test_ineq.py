@@ -54,6 +54,14 @@ class TestCorpusGeneration:
         with pytest.raises(ValueError, match="must be an integer"):
             small_spec(**keys)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            small_spec(seed=-1)
+
+    def test_unknown_spectrum_law_rejected(self):
+        with pytest.raises(ValueError, match="unknown spectrum law 'gaussian'"):
+            SpectrumLaw("gaussian")
+
     @pytest.mark.parametrize("key, keys", [
         ("spectrum_law", {"law": "powerlaw"}),
         ("grid", {"grid": (32, 32, TWO_PI, TWO_PI)}),
@@ -251,8 +259,9 @@ class TestRatioReference:
 
 
 class TestRatioClosedForms:
-    def test_lemma53_single_x_mode_is_one(self, grid32):
-        u = cosine_field(grid32, 1, 0)
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_lemma53_single_x_mode_is_one(self, grid32, k):
+        u = cosine_field(grid32, k, 0)
         d = DissipationSpec(grid32, 2.0, 2.0)
         assert ratio(u, "lemma53", 1, d) == pytest.approx(1.0, rel=1e-12)
 
@@ -440,6 +449,29 @@ MEMBER_LAWS = [
     SpectrumLaw("flat"), SpectrumLaw("powerlaw", decay=1.0),
     SpectrumLaw("ring", k0=5.0, width=0.0), SpectrumLaw("ring", k0=4.0, width=1.5),
 ]
+
+
+class TestBandSupremum:
+    """Lemmas 5.3 and 5.4 read a field through its folded power spectrum
+    alone, and their ratios are quasi-convex in it, so on a band their
+    supremum is taken at one mode +-xi, where it is exactly 1 (a function
+    of x alone attains it).  No corpus report may exceed it."""
+
+    @pytest.mark.parametrize("band_limit", [2.0 / 3.0, 0.3])
+    @pytest.mark.parametrize("grid", MEMBER_GRIDS, ids=["32x32", "48x32"])
+    @pytest.mark.parametrize("law", [
+        SpectrumLaw("flat"), SpectrumLaw("powerlaw", decay=3.5),
+        SpectrumLaw("ring", k0=4.0, width=1.5),
+    ], ids=["flat", "powerlaw", "ring"])
+    def test_no_lemma53_or_54_maximum_exceeds_one(self, law, grid, band_limit):
+        spec = FieldCorpusSpec(count=8, seed=1, spectrum_law=law, band_limit=band_limit,
+                               grid=grid)
+        members = generate_corpus(spec)
+        for alphas in ((1.5, 2.0), (1.2, 1.8), (2.0, 2.0), (1.05, 1.05)):
+            d = DissipationSpec(grid, *alphas)
+            for gamma in (1, 2, 3):
+                for lemma in ("lemma53", "lemma54"):
+                    assert corpus_report(members, lemma, gamma, d).max <= 1.0 + 1e-12
 
 
 class TestMemberPower:

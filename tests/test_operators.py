@@ -160,7 +160,7 @@ class TestNonlinearTerm:
             u = random_field(grid32, seed, band_denom=flux.dealias_denom)
             n_phys = inverse_transform(flux_divergence(u, flux))
             ip = np.sum(n_phys.values * u.values) * grid32.cell_area()
-            scale = lp_norms(n_phys, (2,))[0] * lp_norms(u, (2,))[0]
+            scale = lp_norms(n_phys)[1] * lp_norms(u)[1]
             assert abs(ip) <= 1e-10 * scale
 
     def test_mean_annihilation_exact(self, grid16):

@@ -70,6 +70,11 @@ class TestLinearExact:
         with pytest.raises(ValueError):
             linear_exact(single_mode_spectrum(grid16, 1, 0), d, -1.0)
 
+    def test_rejects_a_field_on_another_grid(self, grid16, grid32):
+        d = DissipationSpec(grid32, 1.5, 2.0)
+        with pytest.raises(ValueError, match="different grids"):
+            linear_exact(single_mode_spectrum(grid16, 1, 0), d, 1.0)
+
 
 class TestStepLinearPart:
     def test_single_step_matches_semigroup(self, grid32):
@@ -125,10 +130,10 @@ class TestStepNonlinear:
         u = inverse_transform(state.u_hat)
         for _ in range(25):
             dt = cfl_dt(u, grid32, 0.5)
-            (before,) = lp_norms(u, (2,))
+            before = lp_norms(u)[1]
             state = step_ifrk4(state, dt)
             u = inverse_transform(state.u_hat)
-            (after,) = lp_norms(u, (2,))
+            after = lp_norms(u)[1]
             assert after <= before * (1.0 + 1e-10)
 
     def test_mean_conserved(self, grid32):
@@ -690,6 +695,12 @@ class TestAdvanceTo:
     def test_linear_run_steps_once_per_sample(self, linear_cfg, counted_steps):
         run_simulation(linear_cfg)
         assert len(counted_steps) == len(sample_times(linear_cfg.t_end, linear_cfg.sample_every))
+
+    def test_rejects_a_target_before_the_state(self, linear_cfg, counted_steps):
+        state = advance_to(initial_state(linear_cfg), 1.0, linear_cfg.cfl_safety)
+        with pytest.raises(ValueError, match="precedes current time"):
+            advance_to(state, 0.5, linear_cfg.cfl_safety)
+        assert counted_steps == [1.0]
 
 
 class TestSimState:

@@ -197,7 +197,7 @@ class TestPerThread:
         weights = [fourier_weight(grid, 2.0), fourier_weight(grid, 1.5, "x")]
 
         def primitives():
-            return (lp_norms(lone.physical, (1, 2, 4, np.inf)),
+            return (lp_norms(lone.physical),
                     parseval(lone.u_hat, weights))
 
         serial_primitives = primitives()
